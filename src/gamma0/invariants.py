@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import count
 from math import gcd, isqrt
 
 import numpy as np
@@ -315,23 +316,28 @@ def m_exact_search(n: int, max_bound: int | None = None, min_bound: int | None =
 
     Deepening starts at ⌊√n⌋ by default (pass min_bound=1 to re-prove the
     lower bound for a given n instead of assuming it) and gives up past
-    max_bound (default 2⌊√n⌋+2, comfortably above every known value).
+    max_bound.  With no max_bound the deepening is unbounded: it stops at the
+    first admissible bound, and one always exists (every maximal polygon
+    admits its own largest denominator).
     """
     if n < 2:
         raise ValueError("level must be at least 2")
     lo = isqrt(n) if min_bound is None else min_bound
-    hi = 2 * isqrt(n) + 2 if max_bound is None else max_bound
     if lo < 1:
         raise ValueError("min_bound must be positive")
-    if hi < lo:
+    if max_bound is None:
+        bounds = count(lo)
+    elif max_bound < lo:
         # A budget below the smallest admissible bound is just exhaustion.
-        raise SearchExhausted(f"no maximal polygon for n={n} with denominators <= {hi}")
+        raise SearchExhausted(f"no maximal polygon for n={n} with denominators <= {max_bound}")
+    else:
+        bounds = range(lo, max_bound + 1)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 40 * n + 1000))
     try:
-        for bound in range(lo, hi + 1):
+        for bound in bounds:
             if _admits_bound(n, bound):
                 return bound
     finally:
         sys.setrecursionlimit(old_limit)
-    raise SearchExhausted(f"no maximal polygon for n={n} with denominators <= {hi}")
+    raise SearchExhausted(f"no maximal polygon for n={n} with denominators <= {max_bound}")

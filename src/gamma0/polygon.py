@@ -18,21 +18,39 @@ satisfying any of them is terminal: only sides in relation with nothing on
 the boundary may be expanded.  Growth therefore terminates in a maximal
 polygon — with exactly u(n) triangles — whatever order free sides are
 expanded in.
+
+Side denominators are coprime, so (a : b) is a point of the projective line
+P¹(Z/nZ), and the gluing relation n | ac+bd says exactly (c : d) = (−b : a)
+there (modulo each prime power of n the solutions of ax+by ≡ 0 are the
+multiples of (−b, a)).  ``_key_function`` names that point, so finding a
+partner is one dict lookup instead of a scan over the boundary, and all
+arithmetic stays on exact Python ints whatever the size of the denominators.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
-from .farey import Frac, INF, ZERO, ONE, mediant, is_farey_pair
+from .farey import Frac, INF, ZERO, ONE, mediant
+from .invariants import factorize
 from .psl2 import Mat, T, edge_transport, inverse, in_gamma0
 
 VERTICAL = 1
 EVEN = -2
 ODD = -3
 FREE = -4
+
+
+def _check_cusps(c: tuple[Frac, ...]) -> None:
+    """Raise ValueError unless c runs [∞, 0, ..., 1] through Farey pairs."""
+    if len(c) < 3 or c[0] != INF or c[1] != ZERO or c[-1] != ONE:
+        raise ValueError("cusps must run [∞, 0, ..., 1]")
+    for x, y in zip(c[1:], c[2:]):
+        # finite x < y span a Farey edge iff their determinant is exactly 1
+        if y.den == 0 or x.den * y.num - x.num * y.den != 1:
+            raise ValueError(f"cusps {x}, {y} do not form an increasing Farey pair")
 
 
 @dataclass(frozen=True)
@@ -46,16 +64,11 @@ class LabeledPolygon:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("level must be at least 2")
-        c = self.cusps
-        if len(c) < 3 or c[0] != INF or c[1] != ZERO or c[-1] != ONE:
-            raise ValueError("cusps must run [∞, 0, ..., 1]")
-        if len(self.labels) != len(c):
+        _check_cusps(self.cusps)
+        if len(self.labels) != len(self.cusps):
             raise ValueError("need exactly one label per side")
         if self.labels[0] != VERTICAL or self.labels[-1] != VERTICAL:
             raise ValueError("the two vertical sides carry label 1")
-        for x, y in zip(c[1:], c[2:]):
-            if not x < y or not is_farey_pair(x, y):
-                raise ValueError(f"cusps {x}, {y} do not form an increasing Farey pair")
 
     def __len__(self) -> int:
         return len(self.cusps)
@@ -132,51 +145,72 @@ def classify_side(
     return "free", None
 
 
+def _key_function(n: int):
+    """The pairing key at level n: key(a, b) names the point (a : b) of P¹(Z/nZ).
+
+    (a, b) must share no prime factor of n.  Modulo each prime power q = p^e
+    of n the point has one normalised coordinate: b·a⁻¹ mod q when p ∤ a
+    (the point (1 : b/a)), else q + a·b⁻¹ mod q (the point (a/b : 1)).  The
+    coordinates are packed in mixed radix 2q, so two pairs get the same key
+    exactly when they are the same point.  Side (c, d) glues to side (a, b)
+    iff ``key(c, d) == key(-b, a)``.  n is factorised once per call here.
+    """
+    powers = tuple((p, p**e) for p, e in factorize(n).items())
+
+    def key(a: int, b: int) -> int:
+        out = 0
+        for p, q in powers:
+            x = a % q
+            y = b % q
+            if x % p:
+                c = y * pow(x, -1, q) % q
+            else:
+                c = q + x * pow(y, -1, q) % q
+            out = out * 2 * q + c
+        return out
+
+    return key
+
+
 def _classify_all(n: int, cusps: tuple[Frac, ...]) -> list[int]:
     """Labels for every side of the polygon with the given cusps.
 
-    Vectorized over the full side list: one even/odd pass and one dense
-    dot-product matrix for the pairing relation.  Partners are matched
-    greedily left to right; a side may satisfy the congruence with several
-    others (the candidates are then interchangeable), so the first free
-    match wins.
+    Partners are matched greedily left to right: a free side takes the
+    lowest-index free side it glues to (the candidates are interchangeable).
+    Such a partner always lies to its right, so one left-to-right pass
+    suffices: each unmatched side waits in a FIFO under its own pairing key,
+    and a later side takes the oldest waiting side under its partner key.
     """
+    key = _key_function(n)
     m = len(cusps)
-    k = m - 2  # number of non-vertical sides
-    if k == 0:
-        return [VERTICAL, VERTICAL]
-    a = np.fromiter((cusps[i].den for i in range(1, m - 1)), np.int64, k)
-    b = np.fromiter((cusps[i].den for i in range(2, m)), np.int64, k)
-    assert a.max(initial=0) < 2**31 and b.max(initial=0) < 2**31
-    even = (a * a + b * b) % n == 0
-    odd = (a * a + a * b + b * b) % n == 0
-    assert not (even & odd).any(), "even and odd classification must be exclusive"
-    odd &= ~even
-    unresolved = ~(even | odd)
-    dots = np.outer(a, a) + np.outer(b, b)
-    linked = (dots % n == 0) & unresolved[:, None] & unresolved[None, :]
-    np.fill_diagonal(linked, False)
-
-    labels = np.full(k, FREE, np.int64)
-    labels[even] = EVEN
-    labels[odd] = ODD
+    labels = [VERTICAL] + [FREE] * (m - 2) + [VERTICAL]
+    mate = [0] * m  # mate[i] = right partner of a left member i
+    waiting: dict[int, deque[int]] = {}
+    for i in range(1, m - 1):
+        a = cusps[i].den % n
+        b = cusps[i + 1].den % n
+        if (a * a + b * b) % n == 0:
+            labels[i] = EVEN
+        elif (a * a + a * b + b * b) % n == 0:
+            labels[i] = ODD
+        else:
+            queue = waiting.get(key(-b, a))
+            if queue:
+                mate[queue.popleft()] = i
+            else:
+                waiting.setdefault(key(a, b), deque()).append(i)
     next_index = 2
-    for i in range(k):
-        if labels[i] != FREE:
-            continue
-        js = np.flatnonzero(linked[i] & (labels == FREE))
-        js = js[js != i]
-        if js.size == 0:
-            continue
-        j = int(js[0])
-        labels[i] = labels[j] = next_index
-        next_index += 1
-    return [VERTICAL, *map(int, labels), VERTICAL]
+    for i, j in enumerate(mate):
+        if j:
+            labels[i] = labels[j] = next_index
+            next_index += 1
+    return labels
 
 
 def polygon_from_cusps(n: int, cusps) -> LabeledPolygon:
     """Build a LabeledPolygon from a cusp list, classifying all sides."""
     cusps = tuple(cusps)
+    _check_cusps(cusps)  # the keys need coprime adjacent denominators
     return LabeledPolygon(n, cusps, tuple(_classify_all(n, cusps)))
 
 
@@ -240,188 +274,118 @@ def _assemble(n: int, denoms: list[int], tags: list[tuple]) -> LabeledPolygon:
     return LabeledPolygon(n, tuple(cusps), tuple(labels))
 
 
-def _grow_leftmost(n: int, _trace: list | None = None) -> LabeledPolygon:
-    """Expand the first free side in cusp order until no free side remains.
+def _grow(n: int, strategy: str) -> LabeledPolygon:
+    """Grow the base triangle until no free side remains.
 
     Every side is classified the moment it is created, against all coexisting
-    unresolved sides; pairing is a forced move (a side satisfying the gluing
-    congruence with a coexisting side is never free), so which side gets
-    expanded is fully determined and new sides only ever appear where the
-    leftmost free side was just subdivided.  A single left-to-right cursor
-    therefore visits each side once; everything left of it is resolved for
-    good.  Sides live on a singly linked list in boundary order.
+    open sides (free sides not yet expanded): pairing is a forced move, since
+    a side satisfying the gluing congruence with a coexisting side can never
+    be expanded.  Open sides sit in a dict under their pairing key, so the
+    candidates are one lookup; when several qualify, any two (A1,B1), (A2,B2)
+    have n | A1*B2 - A2*B1, so a future side gluable to one is gluable to the
+    other and no choice blocks completion.  We glue onto the boundary-leftmost
+    candidate, the new side's sibling included.
 
-    All congruence tests use denominator residues mod n, kept in flat int64
-    arrays so the scan over open sides is one vectorized pass that can never
-    overflow; the exact denominators ride along as Python ints (at composite
-    levels — n=144 is the first — leftmost growth is correct but balloons
-    far past machine range before the last free sides pair off).
-
-    When several open sides satisfy the congruence at once, any two
-    candidates (A1,B1), (A2,B2) have n | A1*B2 - A2*B1, so a future side
-    gluable to one is gluable to the other: no choice blocks completion.  We
-    glue onto the boundary-leftmost candidate.
+    Sides live on a singly linked list in boundary order; expanding a side
+    turns its node into the left child and links the right child after it.
+    ``leftmost`` expands the first open side in boundary order: new sides only
+    appear where that side was just subdivided, so one left-to-right cursor
+    visits each side once (at composite levels — n=144 is the first — the
+    denominators balloon far past machine range before the last free sides
+    pair off; they are exact ints throughout).  ``smallest-mediant`` expands
+    the open side with the smallest mediant denominator, rightmost on ties,
+    taken from a heap whose entries for sides closed in the meantime are
+    skipped.
     """
-    if n >= 2**31:
-        raise ValueError("level too large for the vectorized growth engine")
-    cap = 256
-    res_a = np.empty(cap, np.int64)  # left denominator mod n
-    res_b = np.empty(cap, np.int64)  # right denominator mod n
-    open_ = np.zeros(cap, bool)
-    nxt = [-1] * cap
-    tags: list[tuple | None] = [None] * cap
-    den_a = [0] * cap  # exact left denominator
-    den_b = [0] * cap  # exact right denominator
-    num_l = [0] * cap  # exact left-cusp numerator; num_l/den_a orders the boundary
-    count = 0
+    key = _key_function(n)
+    den_a = [1]  # exact left denominator
+    den_b = [1]  # exact right denominator
+    num_l = [0]  # exact left-cusp numerator; num_l/den_a orders the boundary
+    nxt = [-1]
+    tags: list[tuple | None] = [None]
+    open_key: list[int | None] = [None]  # pairing key while the side is open
+    open_sides: dict[int, list[int]] = {}
+    heap: list[tuple[int, int, int]] = []
 
-    def alloc(a: int, b: int, p: int) -> int:
-        nonlocal cap, count, res_a, res_b, open_
-        if count == cap:
-            cap *= 2
-            res_a = np.resize(res_a, cap)
-            res_b = np.resize(res_b, cap)
-            open_ = np.resize(open_, cap)
-            open_[count:] = False
-            nxt.extend([-1] * (cap - count))
-            tags.extend([None] * (cap - count))
-            den_a.extend([0] * (cap - count))
-            den_b.extend([0] * (cap - count))
-            num_l.extend([0] * (cap - count))
-        i = count
-        count += 1
-        res_a[i] = a % n
-        res_b[i] = b % n
-        den_a[i] = a
-        den_b[i] = b
-        num_l[i] = p
-        return i
+    def mediant_num(i: int) -> int:
+        p = num_l[i]
+        return p + (p * den_b[i] + 1) // den_a[i]  # left numerator + right numerator
 
     def classify(i: int, sibling: int = -1) -> None:
-        ra = int(res_a[i])
-        rb = int(res_b[i])
-        if (ra * ra + rb * rb) % n == 0:
+        a = den_a[i] % n
+        b = den_b[i] % n
+        if (a * a + b * b) % n == 0:
             tags[i] = ("even",)
             return
-        if (ra * ra + ra * rb + rb * rb) % n == 0:
+        if (a * a + a * b + b * b) % n == 0:
             tags[i] = ("odd",)
             return
-        if count <= 64:
-            cands = [
-                j
-                for j in range(count)
-                if open_[j] and (int(res_a[j]) * ra + int(res_b[j]) * rb) % n == 0
-            ]
-        else:
-            mask = open_[:count] & ((res_a[:count] * ra + res_b[:count] * rb) % n == 0)
-            cands = [int(j) for j in np.flatnonzero(mask)]
-        if sibling >= 0 and (int(res_a[sibling]) * ra + int(res_b[sibling]) * rb) % n == 0:
-            cands.append(sibling)
-        if cands:
-            # leftmost on the boundary: smallest left cusp num_l/den_a
-            hit = cands[0]
-            for j in cands[1:]:
-                if num_l[j] * den_a[hit] < num_l[hit] * den_a[j]:
-                    hit = j
-            tags[i] = ("paired", i, hit)
-            tags[hit] = ("paired", hit, i)
-            open_[hit] = False
-        else:
-            open_[i] = True
+        want = key(-b, a)
+        cands = open_sides.get(want, [])
+        if sibling >= 0 and key(den_a[sibling], den_b[sibling]) == want:
+            cands = [*cands, sibling]
+        if not cands:
+            open_key[i] = k = key(a, b)
+            open_sides.setdefault(k, []).append(i)
+            if strategy == "smallest-mediant":
+                heapq.heappush(heap, (den_a[i] + den_b[i], -mediant_num(i), i))
+            return
+        hit = cands[0]
+        for j in cands[1:]:
+            if num_l[j] * den_a[hit] < num_l[hit] * den_a[j]:
+                hit = j
+        if hit != sibling:
+            close(hit)
+        tags[i] = ("paired", i, hit)
+        tags[hit] = ("paired", hit, i)
 
-    head = alloc(0, 0, 0)  # sentinel, never open
-    first = alloc(1, 1, 0)  # the side from 0/1 to 1/1
-    nxt[head] = first
-    classify(first)
+    def close(i: int) -> None:
+        open_sides[open_key[i]].remove(i)
+        open_key[i] = None
 
-    budget = 6 * n + 64  # expansions are bounded by the triangle count u(n)
-    prev, cur = head, first
-    while cur != -1:
-        if not open_[cur]:
-            prev, cur = cur, nxt[cur]
-            continue
+    def expand(i: int) -> None:
+        nonlocal budget
         budget -= 1
         if budget < 0:
             raise RuntimeError(f"polygon growth did not terminate at level {n}")
-        a = den_a[cur]
-        b = den_b[cur]
-        if _trace is not None:
-            _trace.append((a, b))
-        open_[cur] = False  # subdivided away, no longer a side
-        p = num_l[cur]
-        mnum = p + (p * b + 1) // a  # mediant numerator: left num + right num
-        left = alloc(a, a + b, p)
-        right = alloc(a + b, b, mnum)
-        nxt[prev] = left
-        nxt[left] = right
-        nxt[right] = nxt[cur]
-        classify(left, sibling=right)
+        close(i)
+        a, b = den_a[i], den_b[i]
+        right = len(nxt)
+        den_a.append(a + b)
+        den_b.append(b)
+        num_l.append(mediant_num(i))
+        nxt.append(nxt[i])
+        tags.append(None)
+        open_key.append(None)
+        den_b[i] = a + b  # node i becomes the left child
+        nxt[i] = right
+        classify(i, sibling=right)
         if tags[right] is None:
             classify(right)
-        cur = left  # same predecessor; re-examine from the left child
+
+    budget = 6 * n + 64  # expansions are bounded by the triangle count u(n)
+    classify(0)  # the side from 0/1 to 1/1
+    if strategy == "leftmost":
+        cur = 0
+        while cur != -1:
+            if open_key[cur] is None:
+                cur = nxt[cur]
+            else:
+                expand(cur)  # cur is now the left child: re-examine it
+    else:
+        while heap:
+            *_, i = heapq.heappop(heap)
+            if open_key[i] is not None:  # else closed by a pairing since pushed
+                expand(i)
 
     denoms = [0, 1]
     out_tags: list[tuple] = []
-    i = nxt[head]
+    i = 0
     while i != -1:
         denoms.append(den_b[i])
         out_tags.append(tags[i])
         i = nxt[i]
     return _assemble(n, denoms, out_tags)
-
-
-def _grow_smallest_mediant(n: int) -> LabeledPolygon:
-    """Eager strategy: keep every side classified, then repeatedly expand the
-    free side whose mediant denominator is smallest, rightmost on ties."""
-    sides: list[dict] = []
-
-    def classify(entry: dict) -> None:
-        a, b = entry["a"], entry["b"]
-        if (a * a + b * b) % n == 0:
-            entry["tag"] = ("even",)
-        elif (a * a + a * b + b * b) % n == 0:
-            entry["tag"] = ("odd",)
-        else:
-            for other in sides:
-                if other is entry or other["tag"] is not None:
-                    continue
-                if (a * other["a"] + b * other["b"]) % n == 0:
-                    entry["tag"] = ("paired", entry["sid"], other["sid"])
-                    other["tag"] = ("paired", other["sid"], entry["sid"])
-                    return
-            entry["tag"] = None  # free
-
-    def add(pos: int, a: int, b: int, sid: int) -> None:
-        sides.insert(pos, {"a": a, "b": b, "sid": sid, "tag": "new"})
-
-    add(0, 1, 1, 0)
-    sides[0]["tag"] = None
-    classify(sides[0])
-    next_sid = 1
-    budget = 6 * n + 64
-
-    while True:
-        free = [i for i, e in enumerate(sides) if e["tag"] is None]
-        if not free:
-            break
-        best = max(free, key=lambda i: (-(sides[i]["a"] + sides[i]["b"]), i))
-        budget -= 1
-        if budget < 0:
-            raise RuntimeError(f"polygon growth did not terminate at level {n}")
-        e = sides.pop(best)
-        a, b = e["a"], e["b"]
-        add(best, a, a + b, next_sid)
-        add(best + 1, a + b, b, next_sid + 1)
-        left, right = sides[best], sides[best + 1]
-        next_sid += 2
-        left["tag"] = None
-        right["tag"] = None
-        classify(left)
-        if right["tag"] is None:
-            classify(right)
-
-    denoms = [0, 1] + [e["b"] for e in sides]
-    return _assemble(n, denoms, [e["tag"] for e in sides])
 
 
 GROWTH_STRATEGIES = ("leftmost", "smallest-mediant")
@@ -436,12 +400,9 @@ def grow_maximal(n: int, strategy: str = "leftmost") -> LabeledPolygon:
     """
     if n < 2:
         raise ValueError("level must be at least 2")
-    if strategy == "leftmost":
-        P = _grow_leftmost(n)
-    elif strategy == "smallest-mediant":
-        P = _grow_smallest_mediant(n)
-    else:
+    if strategy not in GROWTH_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; use one of {GROWTH_STRATEGIES}")
+    P = _grow(n, strategy)
     assert is_maximal(P)
     return P
 

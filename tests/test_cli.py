@@ -79,6 +79,12 @@ def test_bounds_text_and_exact(capsys):
     assert data == {"n": 41, "lower": 6, "lower_is_exact": False, "upper": 7, "exact": 7}
 
 
+def test_bounds_exact_default_budget_at_composite_level(capsys):
+    code, out, err = run_cli(capsys, "bounds", "22", "--exact", "--json")
+    assert code == 0, err
+    assert json.loads(out)["exact"] == 11
+
+
 def test_bounds_exact_budget_exhaustion(capsys):
     code, out, err = run_cli(capsys, "bounds", "41", "--exact", "--max-bound", "6")
     assert code == 1

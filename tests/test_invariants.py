@@ -191,6 +191,14 @@ def test_m_exact_search_respects_bounds():
         assert (m == lower) == lower_is_exact
 
 
+def test_m_exact_search_default_has_no_budget():
+    # composite levels with no closed-form upper bound, where the old
+    # default budget of 2⌊√n⌋+2 ran out; m(2k) = k on this stretch
+    for n in (22, 24, 26, 28, 30, 32, 34):
+        assert m_bounds(n)[2] is None
+        assert m_exact_search(n) == n // 2, n
+
+
 def test_m_exact_search_budget():
     with pytest.raises(SearchExhausted):
         m_exact_search(41, max_bound=6)

@@ -1,8 +1,15 @@
 """Labeled polygons: classification, growth to maximality, side pairings."""
 
+import os
+import subprocess
+import sys
+from math import isqrt
+
 import pytest
 
+import gamma0
 from gamma0.farey import INF, ONE, ZERO, Frac, farey_sequence, mediant
+from gamma0.invariants import group_invariants
 from gamma0.polygon import (
     EVEN,
     FREE,
@@ -40,6 +47,14 @@ def test_polygon_validation():
     with pytest.raises(ValueError):
         # decreasing cusps
         LabeledPolygon(2, (INF, ZERO, Frac(1, 2), Frac(1, 3), ONE), (1, -2, -2, -2, 1))
+
+
+@pytest.mark.parametrize("n", [4, 6, 12])
+def test_polygon_from_cusps_rejects_non_farey_cusps(n):
+    # 1/2, 3/4 share the factor 2 of n in their denominators: the cusp
+    # check must name the fault before any side is classified
+    with pytest.raises(ValueError, match="Farey pair"):
+        polygon_from_cusps(n, (INF, ZERO, Frac(1, 2), Frac(3, 4), ONE))
 
 
 def test_base_polygon_small_levels():
@@ -165,6 +180,43 @@ def test_grow_maximal_validates_arguments():
 def test_growth_strategies_agree_on_triangle_count(n):
     sizes = {len(grow_maximal(n, s)) for s in GROWTH_STRATEGIES}
     assert len(sizes) == 1
+
+
+@pytest.mark.parametrize("n", [144, 1024])
+def test_reclassifying_grown_cusps_reproduces_the_polygon(n):
+    # leftmost growth at these levels reaches denominators past 2**31
+    P = grow_maximal(n)
+    assert P.max_denominator() >= 2**31
+    assert polygon_from_cusps(n, P.cusps) == P
+
+
+_OPTIMAL_UNDER_1GIB = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from gamma0.polygon import is_maximal
+from gamma0.triples import build_optimal_polygon
+P = build_optimal_polygon(99991)
+print(is_maximal(P), len(P.cusps), P.max_denominator())
+"""
+
+
+def test_optimal_polygon_memory_grows_with_the_answer():
+    # A k x k pairing table at n = 99991 (k = 33330) needs gigabytes; the
+    # build runs in a child process capped at 1 GiB of address space, so a
+    # regression fails there with MemoryError instead of straining the host.
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(gamma0.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _OPTIMAL_UNDER_1GIB],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    maximal, cusps, max_den = proc.stdout.split()
+    assert maximal == "True"
+    assert int(cusps) == group_invariants(99991).u + 2
+    assert int(max_den) <= isqrt(4 * 99991 // 3) == 365
 
 
 def test_partner_lookup():

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from gamma0.farey import (
     INF,
+    ONE,
+    ZERO,
     Frac,
     denominators,
     is_farey_pair,
@@ -17,8 +19,11 @@ from gamma0.farey import (
 from gamma0.invariants import equality_list, group_invariants, m_bounds, totient_summatory
 from gamma0.polygon import (
     EVEN,
+    FREE,
     ODD,
     VERTICAL,
+    _classify_all,
+    _key_function,
     classify_side,
     grow_maximal,
     polygon_from_json,
@@ -33,6 +38,39 @@ levels = st.integers(min_value=2, max_value=150)
 coprime_pairs = st.tuples(
     st.integers(min_value=1, max_value=50), st.integers(min_value=1, max_value=50)
 ).filter(lambda ab: gcd(*ab) == 1)
+
+
+small_primes = st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+
+
+@st.composite
+def composite_levels(draw):
+    """Composite n, weighted towards p², p²q and 2^a·3^b."""
+    shape = draw(st.sampled_from(["p2", "p2q", "2a3b", "any"]))
+    if shape == "p2":
+        return draw(small_primes) ** 2
+    if shape == "p2q":
+        p, q = draw(st.lists(small_primes, min_size=2, max_size=2, unique=True))
+        return p * p * q
+    if shape == "2a3b":
+        a = draw(st.integers(min_value=0, max_value=8))
+        b = draw(st.integers(min_value=0, max_value=5))
+        return 2**a * 3**b if a + b >= 2 else 4
+    n = draw(st.integers(min_value=4, max_value=5000))
+    is_composite = any(n % d == 0 for d in range(2, isqrt(n) + 1))
+    return n if is_composite else n * draw(small_primes)
+
+
+def coprime_part(x, y):
+    g = gcd(x, y)
+    return (x // g, y // g) if g else (1, 0)
+
+
+wide_coprime_pairs = st.builds(
+    coprime_part,
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.integers(min_value=-(10**30), max_value=10**30),
+)
 
 
 @st.composite
@@ -143,3 +181,64 @@ def test_m_bounds_consistency(n):
     assert lower_is_exact == (n in set(equality_list(150)))
     if upper is not None:
         assert lower <= upper
+
+
+@st.composite
+def level_and_two_sides(draw):
+    """n with coprime (a, b) and (c, d); half the time (c, d) is built glued."""
+    n = draw(composite_levels())
+    a, b = draw(wide_coprime_pairs)
+    if draw(st.booleans()):
+        c, d = draw(wide_coprime_pairs)
+    else:
+        lam = draw(st.integers(min_value=1, max_value=n - 1).filter(lambda x: gcd(x, n) == 1))
+        s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        # a lift of λ·(−b, a); dividing out the gcd (a unit mod n) keeps it glued
+        c, d = coprime_part((-lam * b) % n + s * n, (lam * a) % n + t * n)
+    return n, (a, b), (c, d)
+
+
+@settings(max_examples=400)
+@given(level_and_two_sides())
+def test_pairing_key_is_the_gluing_congruence(case):
+    n, (a, b), (c, d) = case
+    glued = (a * c + b * d) % n == 0
+    key = _key_function(n)
+    assert (key(c, d) == key(-b, a)) == glued
+    # the key names a point of P¹(Z/nZ): unit multiples share it
+    assert key(a, b) == key(-a, -b) == key(a + n, b - n)
+
+
+@st.composite
+def random_farey_polygons(draw):
+    """Cusps [∞, 0, ..., 1] grown from the base triangle by random mediants."""
+    cusps = [INF, ZERO, ONE]
+    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+        i = draw(st.integers(min_value=1, max_value=len(cusps) - 2))
+        cusps.insert(i + 1, mediant(cusps[i], cusps[i + 1]))
+    return tuple(cusps)
+
+
+def greedy_labels(n, cusps):
+    """Reference labelling: each free side, left to right, glues onto the
+    lowest-index free side that ``classify_side`` accepts."""
+    dens = [(cusps[i].den, cusps[i + 1].den) for i in range(1, len(cusps) - 1)]
+    kind_label = {"even": EVEN, "odd": ODD, "free": FREE}
+    labels = [kind_label[classify_side(n, s, [])[0]] for s in dens]
+    next_index = 2
+    for i, s in enumerate(dens):
+        if labels[i] != FREE:
+            continue
+        free = [j for j in range(len(dens)) if j != i and labels[j] == FREE]
+        kind, partner = classify_side(n, s, [dens[j] for j in free])
+        if kind == "paired":
+            j = next(j for j in free if dens[j] == partner)
+            labels[i] = labels[j] = next_index
+            next_index += 1
+    return [VERTICAL, *labels, VERTICAL]
+
+
+@settings(max_examples=300, deadline=None)
+@given(composite_levels(), random_farey_polygons())
+def test_classify_all_matches_greedy_reference(n, cusps):
+    assert _classify_all(n, cusps) == greedy_labels(n, cusps)
