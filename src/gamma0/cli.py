@@ -141,7 +141,10 @@ def _auto_polygon(n: int):
         return build_optimal_polygon(n), {"expect_entry": n}
     tw = twin_factors(n)
     if tw is not None:
-        return build_twin_polygon(*tw), {"twin": tw}
+        # The {n, 2n} split holds only for q < 2p; (3,7), (5,11) and (5,13)
+        # put some entries at 3n, so they get every other check.
+        p, q = tw
+        return build_twin_polygon(p, q), ({"twin": tw} if q < 2 * p else {})
     return grow_maximal(n), {}
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .invariants import group_invariants
-from .polygon import EVEN, ODD, VERTICAL, LabeledPolygon, is_maximal, side_pairing_system
+from .polygon import EVEN, FREE, ODD, VERTICAL, LabeledPolygon, is_maximal, side_pairing_system
 from .psl2 import Mat, T, element_order, in_gamma0, inverse
 
 
@@ -190,16 +190,18 @@ def cusp_class_count(P: LabeledPolygon) -> int:
         parent[find(x)] = find(y)
 
     union(1, m - 1)  # T: 0 -> 1; the cusp at infinity pairs with itself
-    seen = set()
+    first: dict[int, int] = {}  # glued-pair label -> index of its left side
     for i, lab in enumerate(P.labels):
-        if lab == VERTICAL or i in seen:
+        if lab == VERTICAL:
             continue
+        if lab == FREE:
+            raise ValueError("free sides are not glued")
         if lab in (EVEN, ODD):
             union(i, i + 1)
-            seen.add(i)
-        else:
-            j = P.partner(i)
+        elif lab in first:
+            j = first[lab]
             union(i, j + 1)
             union(i + 1, j)
-            seen.update((i, j))
+        else:
+            first[lab] = i
     return len({find(x) for x in range(m)})

@@ -17,6 +17,13 @@ have A > √n, and those are the ones k(n) counts.  The level is *cashew* when
 some triple attains A = ⌊√(4n/3)⌋; certificates (s, t, a, b) encode such
 triples arithmetically via n = s·a + t·b with s+t > a > t ≥ b ≥ a−s, and are
 searched for directly, independently of the triple enumeration.
+
+Both searches do constant work per candidate.  For a head (a0, b0) of sum A
+the relation a1·A + b1·b0 = n fixes b1 ≡ n·b0⁻¹ (mod A) in [1, A−1], so
+each b0 has one candidate, and with D = A² − n minimality leaves only
+b0 ∈ [⌈D/(A−1)⌉, A − 1 − ⌊D/(A−1)⌋] (see ``_canonical_heads``).  A
+certificate's t is a divisor of n − s·a in [⌈√(n − s·a)⌉, (n − s·a)/(a − s)]
+(see ``_certificates``).  The tests keep the plain scans as references.
 """
 
 from __future__ import annotations
@@ -53,13 +60,12 @@ class FareyTriple:
 
 
 def _relation_holds(t: FareyTriple, n: int) -> bool:
-    p = t.pairs
-    for i in range(3):
-        a, b = p[i]
-        a_next, b_next = p[(i + 1) % 3]
-        if a_next * a + (a_next + b_next) * b != n:
-            return False
-    return True
+    (a0, b0), (a1, b1), (a2, b2) = t.pairs
+    return (
+        a1 * a0 + (a1 + b1) * b0 == n
+        and a2 * a1 + (a2 + b2) * b1 == n
+        and a0 * a2 + (a0 + b0) * b2 == n
+    )
 
 
 def is_farey_triple(t: FareyTriple, n: int) -> bool:
@@ -165,37 +171,46 @@ def triple_from_free_side(n: int, side: Pair) -> FareyTriple:
 def _canonical_heads(n: int, head_sum: int):
     """Yield canonical triples of level n whose head sum equals head_sum.
 
-    The head (a0, b0) of a canonical triple determines everything: with
-    A = a0 + b0, the relation forces a1·A ≡ n (mod b0), and each admissible
-    a1 pins b1 = (n - a1·A)/b0 and the completion (a2, b2).  Minimality of
-    the head sum demands a1 + b1 > A and a2 + b2 >= A.
+    The head (a0, b0) of a canonical triple determines everything.  With
+    A = a0 + b0 the relation reads a1·A + b1·b0 = n, so b1 ≡ n·b0⁻¹ (mod A),
+    and a2 = A − b1 ≥ 1 puts b1 in [1, A−1]: b1 is that residue, a1 is
+    (n − b1·b0)/A, and the completion (a2, b2) = (A − b1, a1 + b1 − a0)
+    follows.  Minimality of the head sum demands a1 + b1 > A and
+    a2 + b2 ≥ A, i.e. a1 ≥ a0.
+
+    With D = A² − n these read b1·(A − b0) > D and b0·(A − b1) ≥ D.  As
+    1 ≤ b1 ≤ A−1, they confine b0 to [⌈D/(A−1)⌉, A − 1 − ⌊D/(A−1)⌋] when
+    D > 0 (always, for the head sums > √n that k(n) counts).  Triples come
+    out in ascending b0.
     """
     A = head_sum
-    for b0 in range(1, A):
+    lo, hi = 1, A - 1
+    D = A * A - n
+    if D > 0 and A > 1:
+        lo = max(lo, -(-D // (A - 1)))
+        hi -= D // (A - 1)
+    r = n % A
+    for b0 in range(lo, hi + 1):
         if gcd(A, b0) != 1:
             continue
+        b1 = r * pow(b0, -1, A) % A
+        if b1 == 0:
+            continue
+        a1 = (n - b1 * b0) // A
         a0 = A - b0
-        if b0 == 1:
-            start = 1
-        else:
-            start = n * pow(A % b0, -1, b0) % b0
-            if start == 0:
-                start = b0
-        for a1 in range(start, (n - b0) // A + 1, b0):
-            b1 = (n - a1 * A) // b0
-            if a1 + b1 <= A:
-                continue
-            a2, b2 = A - b1, a1 + b1 - a0
-            if a2 < 1 or b2 < 1 or a2 + b2 < A:
-                continue
-            if gcd(a1, b1) != 1 or gcd(a2, b2) != 1:
-                continue
-            pairs = ((a0, b0), (a1, b1), (a2, b2))
-            if len(set(pairs)) != 3:
-                continue
-            t = FareyTriple(pairs)
-            assert _relation_holds(t, n)
-            yield t
+        if a1 < 1 or a1 + b1 <= A:
+            continue
+        a2, b2 = A - b1, a1 + b1 - a0
+        if b2 < 1 or a2 + b2 < A:
+            continue
+        if gcd(a1, b1) != 1 or gcd(a2, b2) != 1:
+            continue
+        pairs = ((a0, b0), (a1, b1), (a2, b2))
+        if len(set(pairs)) != 3:
+            continue
+        t = FareyTriple(pairs)
+        assert _relation_holds(t, n)
+        yield t
 
 
 def _free_side_triples(n: int):
@@ -260,40 +275,52 @@ def cashew_ceiling(n: int) -> int:
     return isqrt(4 * n // 3)
 
 
-def cashew_certificates(n: int) -> list[CashewCertificate]:
-    """All certificates, ordered by descending s then ascending t.
+def _certificates(n: int):
+    """Yield the certificates of level n, by descending s then ascending t.
 
-    Plain brute force over the arithmetic condition; candidates whose
-    encoded triple is invalid (possible only through a common factor, at
-    composite levels) are dropped so that a certificate exists exactly when
-    some triple attains the ceiling.  That equivalence is what the tests
-    cross-check against the triple enumeration.
+    For each s, rem = n − s·a must factor as t·b.  The condition b ≤ t reads
+    t ≥ ⌈√rem⌉ and, when a − s ≥ 1, b ≥ a − s reads t ≤ rem // (a − s); with
+    a − s < t < a that is the whole window of t to try.  rem grows as s
+    falls, so once ⌈√rem⌉ ≥ a no smaller s has a window and the search
+    stops.  Candidates whose encoded triple is invalid (possible only
+    through a common factor, at composite levels) are dropped, so a
+    certificate exists exactly when some triple attains the ceiling.
     """
     if n < 2:
         raise ValueError("level must be at least 2")
     a = cashew_ceiling(n)
-    certs = []
-    if a >= 2:
-        for s in range((n - 1) // a, 0, -1):
-            rem = n - s * a
-            if rem < 1:
+    if a < 2:
+        return
+    for s in range((n - 1) // a, 0, -1):
+        rem = n - s * a
+        root = isqrt(rem - 1) + 1  # ⌈√rem⌉
+        if root >= a:
+            return
+        lo, hi = max(a - s + 1, root), a - 1
+        if a - s >= 1:
+            hi = min(hi, rem // (a - s))
+        for t in range(lo, hi + 1):
+            if rem % t:
                 continue
-            for t in range(max(1, a - s + 1), a):
-                if rem % t:
-                    continue
-                b = rem // t
-                if b > t or b < a - s:
-                    continue
-                cert = CashewCertificate(s=s, t=t, a=a, b=b)
-                if is_farey_triple(cert.triple(), n):
-                    certs.append(cert)
-    return certs
+            cert = CashewCertificate(s=s, t=t, a=a, b=rem // t)
+            if is_farey_triple(cert.triple(), n):
+                yield cert
+
+
+def cashew_certificates(n: int) -> list[CashewCertificate]:
+    """All certificates, ordered by descending s then ascending t.
+
+    Each is checked as a triple, so the list is empty exactly when no
+    triple attains the ceiling; the tests cross-check that equivalence
+    against the triple enumeration and the search against an unbounded
+    scan of every (s, t).
+    """
+    return list(_certificates(n))
 
 
 def cashew_certificate(n: int) -> CashewCertificate | None:
     """First certificate in the search order, or None when not cashew."""
-    certs = cashew_certificates(n)
-    return certs[0] if certs else None
+    return next(_certificates(n), None)
 
 
 def _hull(n: int, v: int) -> LabeledPolygon:

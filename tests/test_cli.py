@@ -3,11 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gamma0.cli import main
 from gamma0.polygon import grow_maximal, polygon_from_json
+from triples_reference import scan_certificates, scan_triple_count
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +74,14 @@ def test_generators_verify(capsys):
     assert any(g["order"] == 2 for g in data["generators"])  # v2(41) = 2
 
 
+@pytest.mark.parametrize("n", [21, 55, 65])
+def test_generators_verify_twin_with_q_above_2p(capsys, n):
+    # (3,7), (5,11), (5,13): valid systems with some entries at 3n
+    code, out, err = run_cli(capsys, "generators", str(n), "--verify")
+    assert code == 0, err
+    assert "verify: ok" in out
+
+
 def test_bounds_text_and_exact(capsys):
     code, out, _ = run_cli(capsys, "bounds", "41")
     assert code == 0
@@ -128,6 +141,17 @@ def test_sweep_json_parallel_matches_serial(capsys, tmp_path):
     assert json.loads(serial.read_text()) == json.loads(parallel.read_text())
 
 
+def test_sweep_at_benchmark_scale(capsys):
+    code, out, err = run_cli(capsys, "sweep", "100000", "100015", "--jobs", "2", "--format", "json")
+    assert code == 0, err
+    rows = json.loads(out)
+    assert [r["n"] for r in rows] == list(range(100000, 100016))
+    for r in rows:
+        assert r["error"] == ""
+        assert r["k"] == scan_triple_count(r["n"]), r["n"]
+        assert r["cashew"] == bool(scan_certificates(r["n"])), r["n"]
+
+
 def test_sweep_thread_env_override(capsys, monkeypatch):
     monkeypatch.setenv("GAMMA0_THREADS", "0")
     code, _, err = run_cli(capsys, "sweep", "2", "5")
@@ -148,3 +172,13 @@ def test_sweep_rejects_empty_range(capsys):
     code, _, err = run_cli(capsys, "sweep", "9", "5")
     assert code == 2
     assert "empty sweep range" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gamma0", "invariants", "41"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "index = 42" in proc.stdout

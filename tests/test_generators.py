@@ -69,6 +69,19 @@ def test_twin_polygons_split_entries(p, q):
     assert sum(1 for c in rep.entries if c == 2 * n) == q - p
 
 
+def test_verify_checks_the_strict_twin_split():
+    twin = independent_system(build_twin_polygon(11, 13))
+    assert verify_system(twin, twin=(11, 13)).ok
+    grown = independent_system(grow_maximal(143))
+    assert verify_system(grown).ok
+    rep = verify_system(grown, twin=(11, 13))
+    assert not rep.ok
+    assert any("outside {143, 286}" in f for f in rep.failures)
+    # q > 2p: the documented 3n entries are still reported
+    rep = verify_system(independent_system(build_twin_polygon(3, 7)), twin=(3, 7))
+    assert any("[63] outside" in f for f in rep.failures)
+
+
 def test_verify_flags_missing_translation():
     sys = independent_system(grow_maximal(17))
     broken = GeneratingSystem(17, tuple(g for g in sys.generators if g.matrix != T))
@@ -108,6 +121,10 @@ def test_verify_flags_wrong_kind():
 def test_cusp_classes_equal_v_inf(n):
     P = grow_maximal(n)
     assert cusp_class_count(P) == group_invariants(n).v_inf
+
+
+def test_cusp_classes_of_a_large_optimal_polygon():
+    assert cusp_class_count(build_optimal_polygon(19997)) == group_invariants(19997).v_inf
 
 
 def test_system_json_shape():

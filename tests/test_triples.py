@@ -1,8 +1,10 @@
 """Farey triples, cashew certificates, and the two direct constructions."""
 
+import random
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gamma0.farey import farey_sequence
 from gamma0.invariants import group_invariants, totient_summatory
@@ -24,6 +26,7 @@ from gamma0.triples import (
     triple_from_free_side,
     twin_eligible,
 )
+from triples_reference import scan_certificates, scan_heads, scan_triple_count
 
 
 def brute_triples(n):
@@ -98,6 +101,18 @@ def test_enumeration_matches_brute_force(n):
     assert triple_count(n) == len(free)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=3000))
+def test_head_window_matches_full_scan(n):
+    for A in range(1, cashew_ceiling(n) + 1):
+        assert canonical_triples(n, head_sum=A) == scan_heads(n, A), (n, A)
+
+
+@pytest.mark.parametrize("n", list(range(100000, 100016)) + [1000003])
+def test_triple_count_matches_full_scan(n):
+    assert triple_count(n) == scan_triple_count(n)
+
+
 def test_triple_count_equals_u_minus_phi_on_primes():
     for n in [p for p in range(2, 400) if all(p % d for d in range(2, isqrt(p) + 1))]:
         u = group_invariants(n).u
@@ -147,6 +162,14 @@ def test_cashew_certificate_fixtures():
     ]
     for n in (7, 13, 19, 29, 31, 37):
         assert cashew_certificate(n) is None, n
+
+
+def test_certificate_window_matches_full_scan():
+    levels = list(range(2, 3000)) + random.Random(7).sample(range(3000, 300001), 60)
+    for n in levels:
+        certs = scan_certificates(n)
+        assert cashew_certificates(n) == certs, n
+        assert cashew_certificate(n) == (certs[0] if certs else None), n
 
 
 def test_cashew_certificate_consistency():
