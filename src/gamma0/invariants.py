@@ -11,12 +11,15 @@ m(Gamma0(n)) is the smallest possible value of the largest cusp denominator
 over all maximal polygons.  ``m_exact_search`` computes it by exhaustive
 bounded growth — it shares no code with the closed-form bound machinery,
 which is the point: it is the independent oracle the bounds are tested
-against.
+against.  It finds gluing partners through the same P¹(Z/nZ) pairing key as
+``polygon`` (``_key_function``, defined here), and that key is checked
+against the raw congruence n | ac + bd by the property test
+``test_pairing_key_is_the_gluing_congruence``.
 """
 
 from __future__ import annotations
 
-import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import count
 from math import gcd, isqrt
@@ -62,6 +65,33 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _key_function(n: int):
+    """The pairing key at level n: key(a, b) names the point (a : b) of P¹(Z/nZ).
+
+    (a, b) must share no prime factor of n.  Modulo each prime power q = p^e
+    of n the point has one normalised coordinate: b·a⁻¹ mod q when p ∤ a
+    (the point (1 : b/a)), else q + a·b⁻¹ mod q (the point (a/b : 1)).  The
+    coordinates are packed in mixed radix 2q, so two pairs get the same key
+    exactly when they are the same point.  Side (c, d) glues to side (a, b)
+    iff ``key(c, d) == key(-b, a)``.  n is factorised once per call here.
+    """
+    powers = tuple((p, p**e) for p, e in factorize(n).items())
+
+    def key(a: int, b: int) -> int:
+        out = 0
+        for p, q in powers:
+            x = a % q
+            y = b % q
+            if x % p:
+                c = y * pow(x, -1, q) % q
+            else:
+                c = q + x * pow(y, -1, q) % q
+            out = out * 2 * q + c
+        return out
+
+    return key
 
 
 def euler_phi(n: int) -> int:
@@ -239,76 +269,113 @@ def m_bounds(n: int) -> tuple[int, bool, int | None]:
     return lower, lower_is_exact, upper
 
 
-def _admits_bound(n: int, bound: int) -> bool:
+class _Sides:
+    """Pairing data of the sides an exact search at level n can meet.
+
+    ``record[(a, b)]`` is (closed, own key, partner key) for every coprime
+    pair with a, b ≤ ``bound``: closed means even or odd, and the keys come
+    from ``_key_function``.  ``reach[k]`` is the smallest bound at which a
+    side with key k exists.  ``extend`` raises ``bound`` and keeps what is
+    already there, so iterative deepening computes each key once per level.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.key = _key_function(n)
+        self.bound = 0
+        self.record: dict[tuple[int, int], tuple[bool, int, int]] = {}
+        self.reach: dict[int, int] = {}
+
+    def extend(self, bound: int) -> None:
+        n, key, record, reach = self.n, self.key, self.record, self.reach
+        for c in range(self.bound + 1, bound + 1):
+            for a, b in [(a, c) for a in range(1, c + 1)] + [(c, b) for b in range(1, c)]:
+                if gcd(a, b) == 1:
+                    own = key(a, b)
+                    closed = (a * a + b * b) % n == 0 or (a * a + a * b + b * b) % n == 0
+                    record[a, b] = (closed, own, key(-b, a))
+                    reach.setdefault(own, c)
+        self.bound = max(self.bound, bound)
+
+
+def _admits_bound(n: int, bound: int, sides: _Sides | None = None) -> bool:
     """Is there a maximal Gamma0(n)-polygon with all denominators ≤ bound?
 
     Left-to-right decision search.  The pending stack holds boundary sides
-    not yet swept past; ``open_set`` holds sides that were swept past
+    not yet swept past; the open set holds sides that were swept past
     unresolved, betting that a later side will glue onto them.  Even/odd
     resolution and gluing onto a coexisting partner are forced moves (a side
     that satisfies the gluing relation with another boundary side can never
     be expanded, and the final gluing is an involution).  Branching happens
     only at genuinely free sides: expand (if the mediant fits the bound) or
     defer to the open set (if some within-bound side could ever glue onto it).
-    """
-    pairable: dict[tuple[int, int], bool] = {}
 
-    def may_pair(a: int, b: int) -> bool:
-        hit = pairable.get((a, b))
-        if hit is None:
-            hit = False
-            g = gcd(b, n)
-            step = n // g
-            inv_b = pow(b // g, -1, step) if step > 1 else 0
-            for x in range(1, bound + 1):
-                rhs = (-a * x) % n
-                if rhs % g:
-                    continue
-                y = (rhs // g) * inv_b % step if step > 1 else 1
-                if y == 0:
-                    y = step
-                while y <= bound:
-                    if gcd(x, y) == 1:
-                        hit = True
-                        break
-                    y += step
-                if hit:
-                    break
-            pairable[(a, b)] = hit
-        return hit
+    An open side is never expanded again, so only its P¹(Z/nZ) point
+    matters: the open set is the sorted tuple of the open sides' keys, and
+    gluing is a lookup of the partner key there (any open side with that key
+    will do).  The search runs on an explicit stack with one frame per
+    genuine branch, and the memo of failed states holds those branch states
+    keyed on (pending stack, open keys), so equivalent states merge; the
+    forced moves between two branches are replayed, not stored.  ``sides``
+    carries the side records over from another bound at the same level.
+    """
+    if sides is None:
+        sides = _Sides(n)
+    sides.extend(bound)
+    record = sides.record
+    reach = sides.reach
+    unreachable = bound + 1
 
     failed: set[tuple] = set()
-
-    def dfs(pending: tuple, open_set: frozenset) -> bool:
-        if not pending:
-            return not open_set
-        key = (pending, open_set)
-        if key in failed:
-            return False
-        a, b = pending[-1]
-        rest = pending[:-1]
-        if (a * a + b * b) % n == 0 or (a * a + a * b + b * b) % n == 0:
-            ok = dfs(rest, open_set)
-        else:
-            partners = [s for s in open_set if (a * s[0] + b * s[1]) % n == 0]
-            if partners:
-                # Candidates are interchangeable (their cross-determinant is
-                # 0 mod n), so gluing onto any one loses no completions.
-                ok = dfs(rest, open_set - {min(partners)})
-            elif any((a * x + b * y) % n == 0 for x, y in rest):
-                # Its partner is still pending; this side must wait for it.
-                ok = dfs(rest, open_set | {(a, b)})
+    frames: list[tuple] = []  # (branch state, its deferral, or None once tried)
+    pending, keys, open_keys = ((1, 1),), (record[1, 1][1],), ()
+    while True:
+        while pending:
+            s = pending[-1]
+            rest = pending[:-1]
+            rest_keys = keys[:-1]
+            closed, k, p = record[s]
+            if closed:
+                pending, keys = rest, rest_keys
+                continue
+            i = bisect_left(open_keys, p)
+            if i < len(open_keys) and open_keys[i] == p:
+                pending, keys = rest, rest_keys
+                open_keys = open_keys[:i] + open_keys[i + 1 :]
+                continue
+            waits = p in rest_keys  # its partner is still pending
+            if waits or reach.get(p, unreachable) <= bound:
+                i = bisect_left(open_keys, k)
+                deferral = (rest, rest_keys, open_keys[:i] + (k,) + open_keys[i:])
             else:
-                ok = False
-                if a + b <= bound:
-                    ok = dfs(rest + ((a + b, b), (a, a + b)), open_set)
-                if not ok and may_pair(a, b):
-                    ok = dfs(rest, open_set | {(a, b)})
-        if not ok:
-            failed.add(key)
-        return ok
-
-    return dfs(((1, 1),), frozenset())
+                deferral = None
+            a, b = s
+            if waits or a + b > bound:
+                if deferral is None:
+                    break
+                pending, keys, open_keys = deferral
+                continue
+            if deferral is not None:
+                state = (pending, open_keys)
+                if state in failed:
+                    break
+                frames.append((state, deferral))
+            left = (a, a + b)
+            right = (a + b, b)
+            pending = rest + (right, left)
+            keys = rest_keys + (record[right][1], record[left][1])
+        else:
+            if not open_keys:
+                return True
+        while frames:
+            state, deferral = frames.pop()
+            if deferral is not None:
+                frames.append((state, None))
+                pending, keys, open_keys = deferral
+                break
+            failed.add(state)
+        else:
+            return False
 
 
 def m_exact_search(n: int, max_bound: int | None = None, min_bound: int | None = None) -> int:
@@ -332,12 +399,8 @@ def m_exact_search(n: int, max_bound: int | None = None, min_bound: int | None =
         raise SearchExhausted(f"no maximal polygon for n={n} with denominators <= {max_bound}")
     else:
         bounds = range(lo, max_bound + 1)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 40 * n + 1000))
-    try:
-        for bound in bounds:
-            if _admits_bound(n, bound):
-                return bound
-    finally:
-        sys.setrecursionlimit(old_limit)
+    sides = _Sides(n)
+    for bound in bounds:
+        if _admits_bound(n, bound, sides):
+            return bound
     raise SearchExhausted(f"no maximal polygon for n={n} with denominators <= {max_bound}")

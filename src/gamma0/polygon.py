@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .farey import Frac, INF, ZERO, ONE, mediant
-from .invariants import factorize
+from .invariants import _key_function
 from .psl2 import Mat, T, edge_transport, inverse, in_gamma0
 
 VERTICAL = 1
@@ -143,33 +143,6 @@ def classify_side(
         if (a * c + b * d) % n == 0:
             return "paired", (c, d)
     return "free", None
-
-
-def _key_function(n: int):
-    """The pairing key at level n: key(a, b) names the point (a : b) of P¹(Z/nZ).
-
-    (a, b) must share no prime factor of n.  Modulo each prime power q = p^e
-    of n the point has one normalised coordinate: b·a⁻¹ mod q when p ∤ a
-    (the point (1 : b/a)), else q + a·b⁻¹ mod q (the point (a/b : 1)).  The
-    coordinates are packed in mixed radix 2q, so two pairs get the same key
-    exactly when they are the same point.  Side (c, d) glues to side (a, b)
-    iff ``key(c, d) == key(-b, a)``.  n is factorised once per call here.
-    """
-    powers = tuple((p, p**e) for p, e in factorize(n).items())
-
-    def key(a: int, b: int) -> int:
-        out = 0
-        for p, q in powers:
-            x = a % q
-            y = b % q
-            if x % p:
-                c = y * pow(x, -1, q) % q
-            else:
-                c = q + x * pow(y, -1, q) % q
-            out = out * 2 * q + c
-        return out
-
-    return key
 
 
 def _classify_all(n: int, cusps: tuple[Frac, ...]) -> list[int]:

@@ -5,13 +5,20 @@ solution counting for the elliptic point numbers, unimodular-pair counting
 for the index, and triangle counting on grown polygons for u(n).
 """
 
+import os
+import subprocess
+import sys
 from math import gcd, isqrt
 
 import pytest
 
+import gamma0
+
 from gamma0.invariants import (
     GroupInvariants,
     SearchExhausted,
+    _admits_bound,
+    _Sides,
     divisors,
     equality_list,
     euler_phi,
@@ -25,6 +32,8 @@ from gamma0.invariants import (
     twin_factors,
 )
 from gamma0.polygon import grow_maximal
+
+from exact_reference import reference_admits_bound, reference_m_exact_search
 
 EQUALITY_LEVELS = [2, 3, 4, 5, 7, 9, 11, 13, 17, 19, 25, 29, 31, 37, 49, 53, 67, 83, 127, 173]
 
@@ -210,3 +219,54 @@ def test_m_exact_search_budget():
         m_exact_search(1)
     # re-proving from scratch finds the same value
     assert m_exact_search(17, min_bound=1) == 4
+
+
+@pytest.mark.parametrize("n", range(2, 36))
+def test_admits_bound_matches_the_scan_search(n):
+    m = reference_m_exact_search(n)
+    sides = _Sides(n)
+    sides.extend(m)  # records made for a larger bound serve every smaller one
+    for bound in range(isqrt(n), m + 1):
+        expected = reference_admits_bound(n, bound)
+        assert expected == (bound == m)
+        assert _admits_bound(n, bound) == expected, bound
+        assert _admits_bound(n, bound, sides) == expected, bound
+
+
+def test_m_exact_search_matches_the_scan_search_at_primes_and_prime_squares():
+    levels = [n for n in range(2, 801) if prime_or_prime_square(n)]
+    assert len(levels) == 148
+    for n in levels:
+        assert m_exact_search(n) == reference_m_exact_search(n), n
+
+
+def test_m_exact_search_leaves_the_recursion_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"the exact search asked for recursion limit {limit}")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    assert m_exact_search(709) == 30
+
+
+_EXACT_UNDER_512MIB = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+from gamma0.invariants import m_exact_search
+print(m_exact_search(40))
+"""
+
+
+def test_exact_search_memory_grows_with_the_answer():
+    # At composite levels the memo of failed states dominates memory; the
+    # search runs in a child process capped at 512 MiB of address space, so
+    # a regression fails there with MemoryError instead of straining the host.
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(gamma0.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXACT_UNDER_512MIB],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["20"]

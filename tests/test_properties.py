@@ -16,14 +16,19 @@ from gamma0.farey import (
     pair_from_denominators,
     reduce,
 )
-from gamma0.invariants import equality_list, group_invariants, m_bounds, totient_summatory
+from gamma0.invariants import (
+    _key_function,
+    equality_list,
+    group_invariants,
+    m_bounds,
+    totient_summatory,
+)
 from gamma0.polygon import (
     EVEN,
     FREE,
     ODD,
     VERTICAL,
     _classify_all,
-    _key_function,
     classify_side,
     grow_maximal,
     polygon_from_json,
