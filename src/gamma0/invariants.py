@@ -1,6 +1,6 @@
 """Closed-form invariants of Gamma0(n) and the exact search oracle for m.
 
-The classicial formulas: the index of Gamma0(n) in PSL(2,Z) is
+The classical formulas: the index of Gamma0(n) in PSL(2,Z) is
 n·∏_{p|n}(1+1/p); the cusp count is v∞(n) = Σ_{d|n} φ(gcd(d, n/d)); the
 order-2 and order-3 fixed point counts v2, v3 are multiplicative with the
 usual local factors; the genus comes out of Riemann-Hurwitz.  u(n) =
@@ -15,16 +15,19 @@ against.  It finds gluing partners through the same P¹(Z/nZ) pairing key as
 ``polygon`` (``_key_function``, defined here), and that key is checked
 against the raw congruence n | ac + bd by the property test
 ``test_pairing_key_is_the_gluing_congruence``.
+
+The lower bound ⌊√n⌋ is attained iff u(n) = Φ(⌊√n⌋).  Φ comes from one
+cumulative totient table in plain ints, grown on demand and shared by
+``totient_summatory`` and ``equality_list``; the latter sieves only ψ and v3
+up to its limit and takes ⌊√n⌋ exactly, block by block.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import count
+from itertools import accumulate, compress, count
 from math import gcd, isqrt
-
-import numpy as np
 
 
 class SearchExhausted(RuntimeError):
@@ -186,7 +189,7 @@ def group_invariants(n: int) -> GroupInvariants:
     return GroupInvariants(index, v_inf, v2, v3, twelve_genus // 12, (index - v3) // 3)
 
 
-_PHI_CUMSUM = None  # lazily grown cumulative totient table
+_PHI_CUMSUM = [0]  # Φ(0), Φ(1), …: the one cumulative totient table, grown on demand
 
 
 def totient_summatory(k: int) -> int:
@@ -194,18 +197,18 @@ def totient_summatory(k: int) -> int:
     global _PHI_CUMSUM
     if k < 1:
         raise ValueError("totient_summatory needs k >= 1")
-    if _PHI_CUMSUM is None or k >= len(_PHI_CUMSUM):
+    if k >= len(_PHI_CUMSUM):
         size = max(2 * k, 1024)
-        phi = np.arange(size + 1, dtype=np.int64)
+        phi = list(range(size + 1))
         for p in range(2, size + 1):
             if phi[p] == p:  # p is prime
-                phi[p::p] -= phi[p::p] // p
-        _PHI_CUMSUM = np.cumsum(phi)
-    return int(_PHI_CUMSUM[k])
+                phi[p::p] = [x - x // p for x in phi[p::p]]
+        _PHI_CUMSUM = list(accumulate(phi))
+    return _PHI_CUMSUM[k]
 
 
 def equality_list(limit: int) -> list[int]:
-    """All n ≤ limit with u(n) = Φ(⌊√n⌋), by flat numpy sieves.
+    """All n ≤ limit with u(n) = Φ(⌊√n⌋), by sieving ψ and v3 up to limit.
 
     These are exactly the levels where the hull of the Farey sequence F*_⌊√n⌋
     is already a maximal polygon, so the lower bound ⌊√n⌋ for m(Gamma0(n)) is
@@ -213,39 +216,32 @@ def equality_list(limit: int) -> list[int]:
     """
     if limit < 2:
         raise ValueError("limit must be at least 2")
-    sieve = np.ones(limit + 1, bool)
-    sieve[:2] = False
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
     for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = False
-    primes = np.flatnonzero(sieve)
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
 
     # 3u(n) = psi(n) - v3(n), psi multiplicative with psi(p^e) = p^e (1 + 1/p)
-    psi = np.arange(limit + 1, dtype=np.int64)
-    v3 = np.ones(limit + 1, dtype=np.int64)
-    if limit >= 9:
-        v3[9::9] = 0
-    for p in primes:
-        psi[p::p] = psi[p::p] // p * (p + 1)
+    psi = list(range(limit + 1))
+    v3 = [1] * (limit + 1)
+    v3[9::9] = [0] * (limit // 9)
+    for p in compress(range(limit + 1), sieve):
+        psi[p::p] = [x // p * (p + 1) for x in psi[p::p]]
         if p % 3 == 2:
-            v3[p::p] = 0
+            v3[p::p] = [0] * (limit // p)
         elif p % 3 == 1:
-            v3[p::p] *= 2
-    three_u = psi - v3
-    assert (three_u[2:] % 3 == 0).all()
+            v3[p::p] = [x * 2 for x in v3[p::p]]
 
-    root = isqrt(limit)
-    phi = np.arange(root + 1, dtype=np.int64)
-    for p in primes[primes <= root]:
-        phi[p::p] -= phi[p::p] // p
-    phi_cum = np.cumsum(phi)
+    assert all((x - y) % 3 == 0 for x, y in zip(psi[2:], v3[2:]))
 
-    ns = np.arange(2, limit + 1, dtype=np.int64)
-    r = np.sqrt(ns.astype(np.float64)).astype(np.int64)
-    r[(r + 1) * (r + 1) <= ns] += 1  # float sqrt may round either way
-    r[r * r > ns] -= 1
-    hits = three_u[2:] == 3 * phi_cum[r]
-    return [int(x) for x in ns[hits]]
+    # ⌊√n⌋ = r exactly on the block r² ≤ n < (r+1)².
+    out = []
+    for r in range(1, isqrt(limit) + 1):
+        lo, hi = max(r * r, 2), min((r + 1) ** 2, limit + 1)
+        three_phi = 3 * totient_summatory(r)
+        out += [n for n, x, y in zip(range(lo, hi), psi[lo:hi], v3[lo:hi]) if x - y == three_phi]
+    return out
 
 
 def m_bounds(n: int) -> tuple[int, bool, int | None]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .farey import Frac, INF, farey_sequence, mediant, pair_from_denominators
-from .invariants import is_prime, prime_or_prime_square, twin_factors
+from .invariants import prime_or_prime_square, twin_factors
 from .polygon import LabeledPolygon, polygon_from_cusps, is_maximal
 
 
@@ -327,28 +327,36 @@ def _hull(n: int, v: int) -> LabeledPolygon:
     return polygon_from_cusps(n, farey_sequence(v))
 
 
-def _triples_of_free_sides(P: LabeledPolygon) -> dict[FareyTriple, list[int]]:
-    """Group the free sides of P by the canonical triple through them."""
-    grouped: dict[FareyTriple, list[int]] = {}
-    for i in P.free_sides():
-        t = triple_from_free_side(P.n, P.side_denominators(i))
-        grouped.setdefault(t, []).append(i)
-    for t, sides in grouped.items():
-        if len(sides) != 3:
+def _head_sides(n: int, sides: list[Pair]) -> list[Pair]:
+    """The head pair of the canonical triple through each of the given free sides.
+
+    Groups the sides by their triple and checks that every triple covers
+    exactly three of them, so one mediant on each head side resolves them all.
+    """
+    grouped: dict[FareyTriple, int] = {}
+    for side in sides:
+        t = triple_from_free_side(n, side)
+        grouped[t] = grouped.get(t, 0) + 1
+    for t, covered in grouped.items():
+        if covered != 3:
             raise TripleNotApplicable(
-                f"triple {t.pairs} covers {len(sides)} free sides, expected 3"
+                f"triple {t.pairs} covers {covered} free sides, expected 3"
             )
-    return grouped
+    return [t.pairs[0] for t in grouped]
 
 
-def _with_mediants(P: LabeledPolygon, side_pairs: list[Pair]) -> LabeledPolygon:
-    """Reclassified polygon with one mediant inserted on each listed side."""
-    extra = []
-    for a, b in side_pairs:
-        left, right = pair_from_denominators(a, b)
-        extra.append(mediant(left, right))
-    finite = sorted(list(P.cusps[1:]) + extra)
-    return polygon_from_cusps(P.n, [INF] + finite)
+def _side_mediant(a: int, b: int) -> Frac:
+    """The mediant of the Farey pair with denominators (a, b)."""
+    return mediant(*pair_from_denominators(a, b))
+
+
+def _with_cusps(P: LabeledPolygon, extra: list[Frac]) -> LabeledPolygon:
+    """Reclassified polygon with the extra finite cusps inserted."""
+    return polygon_from_cusps(P.n, [INF] + sorted([*P.cusps[1:], *extra]))
+
+
+def _free_dens(P: LabeledPolygon) -> list[Pair]:
+    return [P.side_denominators(i) for i in P.free_sides()]
 
 
 def build_optimal_polygon(n: int) -> LabeledPolygon:
@@ -362,8 +370,7 @@ def build_optimal_polygon(n: int) -> LabeledPolygon:
     if not prime_or_prime_square(n):
         raise ValueError(f"{n} is not a prime or the square of a prime")
     hull = _hull(n, isqrt(n))
-    grouped = _triples_of_free_sides(hull)
-    P = _with_mediants(hull, [t.pairs[0] for t in grouped])
+    P = _with_cusps(hull, [_side_mediant(*h) for h in _head_sides(n, _free_dens(hull))])
     assert is_maximal(P), f"optimal construction left free sides at n={n}"
     bound = cashew_ceiling(n)
     assert P.max_denominator() <= bound, f"denominator bound {bound} broken at n={n}"
@@ -371,13 +378,8 @@ def build_optimal_polygon(n: int) -> LabeledPolygon:
 
 
 def twin_eligible(p: int, q: int) -> bool:
-    """p < q odd primes with √q − √p < √2."""
-    return (
-        2 < p < q
-        and is_prime(p)
-        and is_prime(q)
-        and (q - p - 2) ** 2 < 8 * p
-    )
+    """p < q odd primes with √q − √p < √2 (the test is ``twin_factors``)."""
+    return 2 < p < q and twin_factors(p * q) == (p, q)
 
 
 def build_twin_polygon(p: int, q: int) -> LabeledPolygon:
@@ -396,35 +398,21 @@ def build_twin_polygon(p: int, q: int) -> LabeledPolygon:
     k = (q - p) // 2
     v = p + k - 1
     hull = _hull(n, v)
-    free_dens = {hull.side_denominators(i) for i in hull.free_sides()}
+    free = _free_dens(hull)
     a_sides = {(k, p), (p, k)} | {(i, q - i) for i in range(k + 1, p + k)}
-    missing = a_sides - free_dens
+    missing = a_sides.difference(free)
     if missing:
         raise RuntimeError(f"expected free sides {sorted(missing)} at n={n}")
 
-    extra: list[Frac] = []
     # (k, p): split at the mediant, then split the left piece again at
     # denominator q.  (p, k) stays unsplit; each middle side splits once.
     left, right = pair_from_denominators(k, p)
     m1 = mediant(left, right)
-    extra += [m1, mediant(left, m1)]
-    for i in range(k + 1, p + k):
-        li, ri = pair_from_denominators(i, q - i)
-        extra.append(mediant(li, ri))
-
-    grouped: dict[FareyTriple, list[Pair]] = {}
-    for dens in sorted(free_dens - a_sides):
-        t = triple_from_free_side(n, dens)
-        grouped.setdefault(t, []).append(dens)
-    for t, members in grouped.items():
-        if len(members) != 3:
-            raise RuntimeError(f"triple {t.pairs} covers {len(members)} sides at n={n}")
-        a0, b0 = t.pairs[0]
-        lt, rt = pair_from_denominators(a0, b0)
-        extra.append(mediant(lt, rt))
-
-    finite = sorted(list(hull.cusps[1:]) + extra)
-    P = polygon_from_cusps(n, [INF] + finite)
+    extra = [m1, mediant(left, m1)]
+    extra += [_side_mediant(i, q - i) for i in range(k + 1, p + k)]
+    rest = [d for d in free if d not in a_sides]
+    extra += [_side_mediant(*h) for h in _head_sides(n, rest)]
+    P = _with_cusps(hull, extra)
     assert is_maximal(P), f"twin construction left free sides at n={n}"
     bound = max(cashew_ceiling(n), q)
     assert P.max_denominator() <= bound, f"denominator bound {bound} broken at n={n}"

@@ -182,3 +182,32 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "index = 42" in proc.stdout
+
+
+NO_NUMPY = """
+import sys
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError("numpy is blocked")
+
+sys.meta_path.insert(0, NoNumpy())
+from gamma0.cli import main
+from gamma0.invariants import equality_list
+
+for argv in (["sweep", "2", "60"], ["bounds", "41", "--exact", "--json"], ["generators", "143", "--verify"]):
+    assert main(argv) == 0, argv
+assert equality_list(2000)[-1] == 173
+assert "numpy" not in sys.modules
+print("no numpy")
+"""
+
+
+def test_gamma0_runs_without_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("no numpy")

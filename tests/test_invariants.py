@@ -14,6 +14,7 @@ import pytest
 
 import gamma0
 
+from gamma0 import invariants
 from gamma0.invariants import (
     GroupInvariants,
     SearchExhausted,
@@ -155,6 +156,20 @@ def test_totient_summatory_brute_force():
     assert totient_summatory(100) == 3044
     with pytest.raises(ValueError):
         totient_summatory(0)
+
+
+def test_totient_summatory_regrows_its_table(monkeypatch):
+    # Start from an empty table: the first call builds 1024 entries, and
+    # each later k past the end regrows it.
+    monkeypatch.setattr(invariants, "_PHI_CUMSUM", [0])
+    phi_cum = [0]
+    for k in range(1, 5001):
+        phi_cum.append(phi_cum[-1] + euler_phi(k))
+    sizes = []
+    for k in (1, 1023, 1024, 2049, 5000, 3):
+        assert totient_summatory(k) == phi_cum[k], k
+        sizes.append(len(invariants._PHI_CUMSUM))
+    assert sizes == [1025, 1025, 1025, 4099, 10001, 10001]
 
 
 def test_equality_list_prefixes():

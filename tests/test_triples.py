@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gamma0.farey import farey_sequence
-from gamma0.invariants import group_invariants, totient_summatory
+from gamma0.invariants import group_invariants, is_prime, totient_summatory
 from gamma0.polygon import is_maximal, polygon_from_cusps
 from gamma0.triples import (
     CashewCertificate,
@@ -224,6 +224,13 @@ def test_twin_eligible():
     assert not twin_eligible(2, 3)  # even prime excluded
     assert not twin_eligible(13, 11)  # order matters
     assert not twin_eligible(9, 11)  # 9 is not prime
+    assert not twin_eligible(0, 5)  # p·q < 1 must not reach factorize
+    assert not twin_eligible(-3, 5)
+    assert not twin_eligible(1, 3)
+    for p in range(200):
+        for q in range(200):
+            expected = 2 < p < q and is_prime(p) and is_prime(q) and (q - p - 2) ** 2 < 8 * p
+            assert twin_eligible(p, q) == expected, (p, q)
 
 
 @pytest.mark.parametrize("p,q", [(3, 5), (5, 7), (11, 13), (17, 19)])
