@@ -2,6 +2,11 @@
 
 Subcommands: invariants, polygon, generators, bounds, cashew, sweep.
 Exit codes: 0 success, 1 verification/search failure, 2 usage error.
+
+``generators --json`` prints exactly the bytes of
+``json.dumps(system.to_json(), indent=2)``, but from one fixed template per
+generator (``_system_json``) instead of the general encoder; the tests hold
+the two byte-identical.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from functools import cache
 from math import isqrt
 
 from .farey import Frac
-from .generators import independent_system, verify_system
+from .generators import GeneratingSystem, independent_system, verify_system
 from .invariants import (
     SearchExhausted,
     group_invariants,
@@ -174,11 +179,45 @@ def _cmd_polygon(args) -> int:
     return 0
 
 
+# One generator of json.dumps(system.to_json(), indent=2): its matrix entries,
+# then its kind and order already JSON-encoded.
+_GENERATOR_JSON = """\
+    {
+      "matrix": [
+        [
+          %d,
+          %d
+        ],
+        [
+          %d,
+          %d
+        ]
+      ],
+      "kind": %s,
+      "order": %s
+    }"""
+
+
+def _system_json(system: GeneratingSystem) -> str:
+    """``json.dumps(system.to_json(), indent=2)``, byte for byte.
+
+    The system must hold at least one generator, as every system from
+    ``independent_system`` does (T is always there).
+    """
+    encode = cache(json.dumps)  # kinds and orders take a handful of values
+    parts = []
+    for g in system.generators:
+        m = g.matrix
+        parts.append(_GENERATOR_JSON % (m.a, m.b, m.c, m.d, encode(g.kind), encode(g.order)))
+    body = ",\n".join(parts)
+    return f'{{\n  "n": {system.n:d},\n  "generators": [\n{body}\n  ]\n}}'
+
+
 def _cmd_generators(args) -> int:
     P, expectations = _auto_polygon(args.n)
     sys_ = independent_system(P)
     if args.json:
-        print(json.dumps(sys_.to_json(), indent=2))
+        print(_system_json(sys_))
     else:
         for g in sys_.generators:
             (a, b), (c, d) = g.matrix.rows()

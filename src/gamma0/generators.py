@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 from .invariants import group_invariants
-from .polygon import EVEN, FREE, ODD, VERTICAL, LabeledPolygon, is_maximal, side_pairing_system
-from .psl2 import Mat, T, element_order, in_gamma0, inverse
+from .polygon import EVEN, ODD, VERTICAL, LabeledPolygon, is_maximal, side_pairing_system
+from .psl2 import Mat, T, element_order, in_gamma0
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,11 @@ def verify_system(
         frob = m.a**2 + m.b**2 + m.c**2 + m.d**2
         if frob >= (2 * c - 1) ** 2:
             rep.fail(f"generator {idx} breaks the Frobenius bound: {frob} >= {(2 * c - 1) ** 2}")
-    position = {m: i for i, m in enumerate(mats)}
+    # Entries are sign-normalized (c > 0, or c = 0 and a = d = 1), so an
+    # inverse's entries are the adjugate's, negated unless c = 0.
+    position = {(m.a, m.b, m.c, m.d): i for i, m in enumerate(mats)}
     for j, m in enumerate(mats):
-        i = position.get(inverse(m))
+        i = position.get((-m.d, m.b, m.c, -m.a) if m.c else (m.d, -m.b, 0, m.a))
         if i is not None and i < j:
             rep.fail(f"generators {i} and {j} are mutually inverse")
 
@@ -190,18 +192,11 @@ def cusp_class_count(P: LabeledPolygon) -> int:
         parent[find(x)] = find(y)
 
     union(1, m - 1)  # T: 0 -> 1; the cusp at infinity pairs with itself
-    first: dict[int, int] = {}  # glued-pair label -> index of its left side
-    for i, lab in enumerate(P.labels):
-        if lab == VERTICAL:
-            continue
-        if lab == FREE:
-            raise ValueError("free sides are not glued")
-        if lab in (EVEN, ODD):
+    for i in range(1, m - 1):
+        j = P.partner(i)  # raises on free sides
+        if j == i:
             union(i, i + 1)
-        elif lab in first:
-            j = first[lab]
+        elif j > i:
             union(i, j + 1)
             union(i + 1, j)
-        else:
-            first[lab] = i
     return len({find(x) for x in range(m)})

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .farey import Frac, INF, ZERO, ONE, mediant
 from .invariants import _key_function
-from .psl2 import Mat, T, edge_transport, inverse, in_gamma0
+from .psl2 import Mat, T, inverse, in_gamma0
 
 VERTICAL = 1
 EVEN = -2
@@ -60,6 +60,9 @@ class LabeledPolygon:
     n: int
     cusps: tuple[Frac, ...]
     labels: tuple[int, ...]
+    # _mates[i]: the side glued to side i, i itself for even and odd sides,
+    # -1 for free ones; derived from the labels, so not compared
+    _mates: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -69,6 +72,7 @@ class LabeledPolygon:
             raise ValueError("need exactly one label per side")
         if self.labels[0] != VERTICAL or self.labels[-1] != VERTICAL:
             raise ValueError("the two vertical sides carry label 1")
+        object.__setattr__(self, "_mates", _partner_table(self.labels))
 
     def __len__(self) -> int:
         return len(self.cusps)
@@ -97,14 +101,10 @@ class LabeledPolygon:
 
     def partner(self, i: int) -> int:
         """Index of the side glued to side i (i itself for even/odd sides)."""
-        lab = self.labels[i]
-        if lab == FREE:
+        j = self._mates[i]
+        if j < 0:
             raise ValueError("free sides are not glued")
-        if lab in (EVEN, ODD):
-            return i
-        if lab == VERTICAL:
-            return len(self.cusps) - 1 if i == 0 else 0
-        return next(j for j, l in enumerate(self.labels) if l == lab and j != i)
+        return j
 
     def max_denominator(self) -> int:
         return max(c.den for c in self.cusps)
@@ -115,6 +115,39 @@ class LabeledPolygon:
             "cusps": [str(c) for c in self.cusps],
             "labels": list(self.labels),
         }
+
+
+def _partner_table(labels: tuple[int, ...]) -> tuple[int, ...]:
+    """The partner of every side, validating the labels on the way.
+
+    Raises ValueError unless label 1 sits only on the two vertical sides,
+    every other label is even, odd, free or a pair index ≥ 2, and each pair
+    index occurs exactly twice.  Pair indices may come in any order.
+    """
+    m = len(labels)
+    mates = [0] * m  # 0 marks an interior side still waiting for its partner
+    mates[0], mates[-1] = m - 1, 0
+    first: dict[int, int] = {}  # pair index -> its first side
+    for i in range(1, m - 1):
+        lab = labels[i]
+        if lab == EVEN or lab == ODD:
+            mates[i] = i
+        elif lab == FREE:
+            mates[i] = -1
+        elif lab < 2:
+            raise ValueError(
+                f"side {i} has label {lab}; interior sides carry -2, -3, -4 or a pair index >= 2"
+            )
+        elif lab not in first:
+            first[lab] = i
+        elif mates[j := first[lab]]:
+            raise ValueError(f"pair index {lab} occurs more than twice")
+        else:
+            mates[i], mates[j] = j, i
+    for lab, i in first.items():
+        if not mates[i]:
+            raise ValueError(f"pair index {lab} occurs only once")
+    return tuple(mates)
 
 
 def polygon_from_json(data: dict) -> LabeledPolygon:
@@ -387,39 +420,38 @@ def side_pairing_system(P: LabeledPolygon) -> list[tuple[int, int, Mat]]:
     (j = i for even and odd sides, where g is the torsion element of the
     side; the vertical pair is glued by the unit translation).  The set is
     closed under inverses and lands in Gamma0(n).
+
+    Each transport comes straight from the cusp integers.  For increasing
+    Farey pairs x₁/y₁ < x₂/y₂ and u₁/v₁ < u₂/v₂, the element sending the
+    first to the second reversed (x₁/y₁ ↦ u₂/v₂, x₂/y₂ ↦ u₁/v₁) is
+
+        [[u₂y₂ + u₁y₁, −u₂x₂ − u₁x₁], [v₂y₂ + v₁y₁, −v₂x₂ − v₁x₁]],
+
+    already sign-normalized since its lower-left entry is positive.  An even
+    side is its own target; the rotation of an odd side x₁/y₁ < x₂/y₂ sends
+    its mediant and x₂/y₂ onto x₂/y₂ and x₁/y₁, so it is the same formula
+    with the mediant as the source's left cusp.  ``psl2.edge_transport`` is
+    the general construction and the tests' reference.
     """
     if not is_maximal(P):
         raise ValueError("side pairing is defined for maximal polygons only")
-    m = len(P.cusps)
-    pending: dict[int, int] = {}
-    mate: dict[int, int] = {}
-    for i, lab in enumerate(P.labels):
-        if lab >= 2:
-            if lab in pending:
-                j = pending.pop(lab)
-                mate[i], mate[j] = j, i
-            else:
-                pending[lab] = i
-    entries: list[tuple[int, int, Mat]] = []
-    for i, lab in enumerate(P.labels):
-        p1, p2 = P.side(i)
-        if lab == VERTICAL:
-            if i == 0:
-                entries.append((0, m - 1, T))
-            else:
-                entries.append((m - 1, 0, inverse(T)))
-            continue
-        if lab == EVEN:
-            g = edge_transport((p1, p2), (p2, p1))
-        elif lab == ODD:
-            mid = mediant(p1, p2)
-            g = edge_transport((p1, mid), (mid, p2))
+    c = P.cusps
+    m = len(c)
+    mates = P._mates
+    entries: list[tuple[int, int, Mat]] = [(0, m - 1, T)]
+    for i in range(1, m - 1):
+        lab = P.labels[i]
+        x2, y2 = c[i + 1].num, c[i + 1].den
+        if lab == ODD:
+            j = i
+            x1, y1 = c[i].num + x2, c[i].den + y2
+            u1, v1, u2, v2 = c[i].num, c[i].den, x2, y2
         else:
-            j = mate[i]
-            q1, q2 = P.side(j)
-            g = edge_transport((p1, p2), (q2, q1))
-            entries.append((i, j, g))
-            continue
-        entries.append((i, i, g))
+            j = mates[i]
+            x1, y1 = c[i].num, c[i].den
+            u1, v1, u2, v2 = c[j].num, c[j].den, c[j + 1].num, c[j + 1].den
+        g = Mat(u2 * y2 + u1 * y1, -u2 * x2 - u1 * x1, v2 * y2 + v1 * y1, -v2 * x2 - v1 * x1)
+        entries.append((i, j, g))
+    entries.append((m - 1, 0, inverse(T)))
     assert all(in_gamma0(g, P.n) for _, _, g in entries)
     return entries

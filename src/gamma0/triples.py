@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .farey import Frac, INF, farey_sequence, mediant, pair_from_denominators
+from .farey import Frac, farey_sequence, mediant
 from .invariants import prime_or_prime_square, twin_factors
 from .polygon import LabeledPolygon, polygon_from_cusps, is_maximal
 
@@ -345,18 +345,19 @@ def _head_sides(n: int, sides: list[Pair]) -> list[Pair]:
     return [t.pairs[0] for t in grouped]
 
 
-def _side_mediant(a: int, b: int) -> Frac:
-    """The mediant of the Farey pair with denominators (a, b)."""
-    return mediant(*pair_from_denominators(a, b))
+def _free_hull_sides(hull: LabeledPolygon) -> dict[Pair, int]:
+    """Denominator pair -> index of each free side (a Farey hull repeats no pair)."""
+    c = hull.cusps
+    return {(c[i].den, c[i + 1].den): i for i in hull.free_sides()}
 
 
-def _with_cusps(P: LabeledPolygon, extra: list[Frac]) -> LabeledPolygon:
-    """Reclassified polygon with the extra finite cusps inserted."""
-    return polygon_from_cusps(P.n, [INF] + sorted([*P.cusps[1:], *extra]))
-
-
-def _free_dens(P: LabeledPolygon) -> list[Pair]:
-    return [P.side_denominators(i) for i in P.free_sides()]
+def _with_inserted(hull: LabeledPolygon, extra: dict[int, tuple[Frac, ...]]) -> LabeledPolygon:
+    """Classified polygon with the cusps extra[i] inserted, in order, after cusp i."""
+    cusps: list[Frac] = []
+    for i, c in enumerate(hull.cusps):
+        cusps.append(c)
+        cusps += extra.get(i, ())
+    return polygon_from_cusps(hull.n, cusps)
 
 
 def build_optimal_polygon(n: int) -> LabeledPolygon:
@@ -365,12 +366,17 @@ def build_optimal_polygon(n: int) -> LabeledPolygon:
     Takes the hull of F*_⌊√n⌋ and resolves each free side by attaching the
     triangle fan of its triple: one mediant on the head side of each triple
     is enough, because the two sides it creates glue onto the triple's other
-    two members.
+    two members.  Free hull sides are indexed by their denominator pairs, so
+    each mediant is inserted straight after its side's left cusp and the
+    final cusp list is classified once, with no sort.
     """
     if not prime_or_prime_square(n):
         raise ValueError(f"{n} is not a prime or the square of a prime")
     hull = _hull(n, isqrt(n))
-    P = _with_cusps(hull, [_side_mediant(*h) for h in _head_sides(n, _free_dens(hull))])
+    free = _free_hull_sides(hull)
+    heads = [free[h] for h in _head_sides(n, list(free))]
+    c = hull.cusps
+    P = _with_inserted(hull, {i: (mediant(c[i], c[i + 1]),) for i in heads})
     assert is_maximal(P), f"optimal construction left free sides at n={n}"
     bound = cashew_ceiling(n)
     assert P.max_denominator() <= bound, f"denominator bound {bound} broken at n={n}"
@@ -390,7 +396,10 @@ def build_twin_polygon(p: int, q: int) -> LabeledPolygon:
     free; they get resolved by mediant insertions of denominator q (the
     (k, p) side needs two: its first mediant p+k leaves a (k, p+k) piece
     that splits again at q).  Any remaining free sides carry ordinary
-    triples.  All denominators end up ≤ max(⌊√(4n/3)⌋, q).
+    triples.  All denominators end up ≤ max(⌊√(4n/3)⌋, q).  As in
+    ``build_optimal_polygon``, every new cusp is inserted at its side's hull
+    index (the (k, p) side's two in boundary order, q before p+k) and the
+    final cusp list is classified once.
     """
     if not twin_eligible(p, q):
         raise ValueError(f"({p}, {q}) is not an eligible odd prime pair")
@@ -398,21 +407,23 @@ def build_twin_polygon(p: int, q: int) -> LabeledPolygon:
     k = (q - p) // 2
     v = p + k - 1
     hull = _hull(n, v)
-    free = _free_dens(hull)
+    free = _free_hull_sides(hull)
     a_sides = {(k, p), (p, k)} | {(i, q - i) for i in range(k + 1, p + k)}
     missing = a_sides.difference(free)
     if missing:
         raise RuntimeError(f"expected free sides {sorted(missing)} at n={n}")
 
-    # (k, p): split at the mediant, then split the left piece again at
+    # (k, p): split at the mediant m1, then split the left piece again at
     # denominator q.  (p, k) stays unsplit; each middle side splits once.
-    left, right = pair_from_denominators(k, p)
-    m1 = mediant(left, right)
-    extra = [m1, mediant(left, m1)]
-    extra += [_side_mediant(i, q - i) for i in range(k + 1, p + k)]
+    c = hull.cusps
+    split = free[(k, p)]
+    m1 = mediant(c[split], c[split + 1])
+    extra = {split: (mediant(c[split], m1), m1)}
+    middle = [free[(i, q - i)] for i in range(k + 1, p + k)]
     rest = [d for d in free if d not in a_sides]
-    extra += [_side_mediant(*h) for h in _head_sides(n, rest)]
-    P = _with_cusps(hull, extra)
+    for i in middle + [free[h] for h in _head_sides(n, rest)]:
+        extra[i] = (mediant(c[i], c[i + 1]),)
+    P = _with_inserted(hull, extra)
     assert is_maximal(P), f"twin construction left free sides at n={n}"
     bound = max(cashew_ceiling(n), q)
     assert P.max_denominator() <= bound, f"denominator bound {bound} broken at n={n}"

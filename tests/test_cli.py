@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from gamma0.cli import main
+from gamma0.generators import independent_system
 from gamma0.polygon import grow_maximal, polygon_from_json
+from gamma0.triples import build_optimal_polygon, build_twin_polygon
 from triples_reference import scan_certificates, scan_triple_count
 
 
@@ -80,6 +82,24 @@ def test_generators_verify_twin_with_q_above_2p(capsys, n):
     code, out, err = run_cli(capsys, "generators", str(n), "--verify")
     assert code == 0, err
     assert "verify: ok" in out
+
+
+@pytest.mark.parametrize(
+    "n,build",
+    [
+        (2, build_optimal_polygon),  # one even side
+        (3, build_optimal_polygon),  # one odd side
+        (13, build_optimal_polygon),
+        (21, lambda n: build_twin_polygon(3, 7)),  # q > 2p
+        (7081, lambda n: build_twin_polygon(73, 97)),
+        (144, grow_maximal),  # leftmost growth: entries of hundreds of digits
+        (1950, grow_maximal),
+    ],
+)
+def test_generators_json_is_the_indent_2_encoding(capsys, n, build):
+    code, out, _ = run_cli(capsys, "generators", str(n), "--json")
+    assert code == 0
+    assert out == json.dumps(independent_system(build(n)).to_json(), indent=2) + "\n"
 
 
 def test_bounds_text_and_exact(capsys):

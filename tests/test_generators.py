@@ -107,6 +107,21 @@ def test_verify_flags_mutual_inverses():
     assert any("inverse" in f for f in rep.failures)
 
 
+def test_verify_flags_a_duplicated_inverse_pair():
+    sys = independent_system(grow_maximal(17))
+    i, paired = next((i, g) for i, g in enumerate(sys.generators) if g.kind == "paired")
+    inv = Generator(inverse(paired.matrix), "paired", None, paired.target, paired.source)
+    t_inv = Generator(inverse(T), "translation", None, 0, 0)  # c = 0: the other sign rule
+    L = len(sys.generators)
+    rep = verify_system(GeneratingSystem(17, sys.generators + (inv, inv, t_inv)))
+    assert not rep.ok
+    assert [f for f in rep.failures if "inverse" in f] == [
+        f"generators {i} and {L} are mutually inverse",
+        f"generators {i} and {L + 1} are mutually inverse",
+        f"generators 0 and {L + 2} are mutually inverse",
+    ]
+
+
 def test_verify_flags_wrong_kind():
     sys = independent_system(grow_maximal(17))
     relabeled = tuple(

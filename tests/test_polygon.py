@@ -9,7 +9,7 @@ import pytest
 
 import gamma0
 from gamma0.farey import INF, ONE, ZERO, Frac, farey_sequence, mediant
-from gamma0.invariants import group_invariants
+from gamma0.invariants import group_invariants, prime_or_prime_square, twin_factors
 from gamma0.polygon import (
     EVEN,
     FREE,
@@ -27,6 +27,8 @@ from gamma0.polygon import (
     side_pairing_system,
 )
 from gamma0.psl2 import act, in_gamma0, inverse
+from gamma0.triples import build_optimal_polygon, build_twin_polygon
+from polygon_reference import transport_side_pairing
 
 
 # --- construction and validation ---
@@ -47,6 +49,34 @@ def test_polygon_validation():
     with pytest.raises(ValueError):
         # decreasing cusps
         LabeledPolygon(2, (INF, ZERO, Frac(1, 2), Frac(1, 3), ONE), (1, -2, -2, -2, 1))
+
+
+@pytest.mark.parametrize(
+    "cusps,labels",
+    [
+        (["1/0", "0/1", "1/1"], [1, 2, 1]),  # a pair index occurring once
+        (["1/0", "0/1", "1/1"], [1, 0, 1]),
+        (["1/0", "0/1", "1/1"], [1, 7, 1]),
+        (["1/0", "0/1", "1/1"], [1, 1, 1]),  # label 1 on an interior side
+        (["1/0", "0/1", "1/1"], [1, -1, 1]),
+        (["1/0", "0/1", "1/1"], [1, -5, 1]),
+        (["1/0", "0/1", "1/2", "1/1"], [1, 2, 3, 1]),
+        (["1/0", "0/1", "1/2", "1/1"], [1, 1, -2, 1]),
+        (["1/0", "0/1", "1/3", "1/2", "1/1"], [1, 2, 2, 2, 1]),  # three times
+    ],
+)
+def test_polygon_rejects_malformed_pair_labels(cusps, labels):
+    # accepted, these labels would break partner lookups and side pairings later
+    with pytest.raises(ValueError):
+        polygon_from_json({"n": 5, "cusps": cusps, "labels": labels})
+
+
+def test_pair_indices_may_come_in_any_order():
+    P = grow_maximal(8)
+    assert P.labels == (1, 2, 2, 3, 3, 1)
+    Q = LabeledPolygon(8, P.cusps, (1, 9, 9, 2, 2, 1))
+    assert [Q.partner(i) for i in range(len(Q))] == [P.partner(i) for i in range(len(P))]
+    assert side_pairing_system(Q) == side_pairing_system(P)
 
 
 @pytest.mark.parametrize("n", [4, 6, 12])
@@ -256,6 +286,29 @@ def test_side_pairing_transports_sides(n):
             assert j == i
         else:
             assert jj == i and gg == inverse(g)
+
+
+def _assert_pairing_matches_reference(P):
+    assert side_pairing_system(P) == transport_side_pairing(P), P.n
+
+
+@pytest.mark.parametrize("strategy", GROWTH_STRATEGIES)
+def test_side_pairing_matches_edge_transports_on_grown_polygons(strategy):
+    for n in range(2, 301):
+        _assert_pairing_matches_reference(grow_maximal(n, strategy))
+
+
+def test_side_pairing_matches_edge_transports_on_optimal_polygons():
+    for n in range(2, 3001):
+        if prime_or_prime_square(n):
+            _assert_pairing_matches_reference(build_optimal_polygon(n))
+
+
+def test_side_pairing_matches_edge_transports_on_twin_polygons():
+    levels = [n for n in range(15, 5001) if twin_factors(n) is not None]
+    assert len(levels) > 40
+    for n in levels:
+        _assert_pairing_matches_reference(build_twin_polygon(*twin_factors(n)))
 
 
 def test_side_pairing_requires_maximal():

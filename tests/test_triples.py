@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gamma0.farey import farey_sequence
-from gamma0.invariants import group_invariants, is_prime, totient_summatory
+from gamma0.invariants import (
+    group_invariants,
+    is_prime,
+    prime_or_prime_square,
+    totient_summatory,
+    twin_factors,
+)
 from gamma0.polygon import is_maximal, polygon_from_cusps
 from gamma0.triples import (
     CashewCertificate,
@@ -26,7 +32,13 @@ from gamma0.triples import (
     triple_from_free_side,
     twin_eligible,
 )
-from triples_reference import scan_certificates, scan_heads, scan_triple_count
+from triples_reference import (
+    scan_certificates,
+    scan_heads,
+    scan_triple_count,
+    sorted_optimal_polygon,
+    sorted_twin_polygon,
+)
 
 
 def brute_triples(n):
@@ -206,6 +218,13 @@ def test_build_optimal_polygon(n):
     assert len(P.cusps) - 2 == group_invariants(n).u
 
 
+def test_optimal_build_matches_sorted_reference():
+    # mediants inserted at their hull index give the sorted, reclassified polygon
+    for n in range(2, 3001):
+        if prime_or_prime_square(n):
+            assert build_optimal_polygon(n) == sorted_optimal_polygon(n), n
+
+
 def test_build_optimal_polygon_rejects_general_levels():
     with pytest.raises(ValueError):
         build_optimal_polygon(8)
@@ -241,6 +260,14 @@ def test_build_twin_polygon(p, q):
     assert is_maximal(P)
     assert P.max_denominator() <= max(cashew_ceiling(n), q)
     assert len(P.cusps) - 2 == group_invariants(n).u
+
+
+def test_twin_build_matches_sorted_reference():
+    levels = [n for n in range(15, 5001) if twin_factors(n) is not None]
+    assert len(levels) > 40
+    for n in levels:
+        p, q = twin_factors(n)
+        assert build_twin_polygon(p, q) == sorted_twin_polygon(p, q), n
 
 
 def test_build_twin_polygon_rejects_bad_pairs():

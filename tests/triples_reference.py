@@ -1,12 +1,21 @@
-"""Plain scans that the windowed searches in ``gamma0.triples`` must match.
+"""Plain versions that the searches and builds in ``gamma0.triples`` must match.
 
-These are the searches as first written, with no window on a1, b0 or t;
-the tests compare the library against them list for list.
+The searches as first written, with no window on a1, b0 or t, and the
+optimal and twin builds as first written, which sort every cusp and classify
+the result; the tests compare the library against them list for list.
 """
 
 from math import gcd, isqrt
 
-from gamma0.triples import CashewCertificate, FareyTriple, cashew_ceiling, is_farey_triple
+from gamma0.farey import INF, farey_sequence, mediant, pair_from_denominators
+from gamma0.polygon import polygon_from_cusps
+from gamma0.triples import (
+    CashewCertificate,
+    FareyTriple,
+    _head_sides,
+    cashew_ceiling,
+    is_farey_triple,
+)
 
 
 def scan_heads(n, A):
@@ -67,3 +76,36 @@ def scan_certificates(n):
                 if is_farey_triple(cert.triple(), n):
                     certs.append(cert)
     return certs
+
+
+def _side_mediant(a, b):
+    return mediant(*pair_from_denominators(a, b))
+
+
+def _sorted_polygon(hull, extra):
+    return polygon_from_cusps(hull.n, [INF] + sorted([*hull.cusps[1:], *extra]))
+
+
+def _free_dens(P):
+    return [P.side_denominators(i) for i in P.free_sides()]
+
+
+def sorted_optimal_polygon(n):
+    """The hull of F*_⌊√n⌋ plus each head mediant, sorted in and reclassified."""
+    hull = polygon_from_cusps(n, farey_sequence(isqrt(n)))
+    heads = _head_sides(n, _free_dens(hull))
+    return _sorted_polygon(hull, [_side_mediant(*h) for h in heads])
+
+
+def sorted_twin_polygon(p, q):
+    """The twin build for n = pq with its mediants sorted in and reclassified."""
+    n, k = p * q, (q - p) // 2
+    hull = polygon_from_cusps(n, farey_sequence(p + k - 1))
+    a_sides = {(k, p), (p, k)} | {(i, q - i) for i in range(k + 1, p + k)}
+    left, right = pair_from_denominators(k, p)
+    m1 = mediant(left, right)
+    extra = [m1, mediant(left, m1)]
+    extra += [_side_mediant(i, q - i) for i in range(k + 1, p + k)]
+    rest = [d for d in _free_dens(hull) if d not in a_sides]
+    extra += [_side_mediant(*h) for h in _head_sides(n, rest)]
+    return _sorted_polygon(hull, extra)
