@@ -235,6 +235,8 @@ def _cmd_generators(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.max_bound is not None and not args.exact:
+        raise ValueError("--max-bound needs --exact")
     lower, lower_is_exact, upper = m_bounds(args.n)
     payload = {
         "n": args.n,

@@ -50,6 +50,12 @@ class GeneratingSystem:
         return {"n": self.n, "generators": [g.to_json() for g in self.generators]}
 
 
+def _free_factor_counts(n: int) -> dict[str, int]:
+    """Generators per order that an independent system of Gamma0(n) has."""
+    inv = group_invariants(n)
+    return {"order2": inv.v2, "order3": inv.v3, "infinite": 2 * inv.genus + inv.v_inf - 1}
+
+
 def independent_system(P: LabeledPolygon) -> GeneratingSystem:
     """Maximal inverse-free subset of the side-pairing system of P.
 
@@ -73,9 +79,8 @@ def independent_system(P: LabeledPolygon) -> GeneratingSystem:
         elif j > i:
             gens.append(Generator(g, "paired", None, i, j))
     sys = GeneratingSystem(P.n, tuple(gens))
-    inv = group_invariants(P.n)
     got = sys.counts()
-    want = {"order2": inv.v2, "order3": inv.v3, "infinite": 2 * inv.genus + inv.v_inf - 1}
+    want = _free_factor_counts(P.n)
     assert got == want, f"free-factor counts {got} != {want} at n={P.n}"
     return sys
 
@@ -150,9 +155,8 @@ def verify_system(
         if i is not None and i < j:
             rep.fail(f"generators {i} and {j} are mutually inverse")
 
-    inv = group_invariants(n)
     rep.counts = sys.counts()
-    want = {"order2": inv.v2, "order3": inv.v3, "infinite": 2 * inv.genus + inv.v_inf - 1}
+    want = _free_factor_counts(n)
     if rep.counts != want:
         rep.fail(f"free-factor counts {rep.counts} != {want}")
 

@@ -244,42 +244,6 @@ def is_maximal(P: LabeledPolygon) -> bool:
     return FREE not in P.labels
 
 
-def _assemble(n: int, denoms: list[int], tags: list[tuple]) -> LabeledPolygon:
-    """Build the final polygon from emitted denominators and side tags.
-
-    ``denoms`` is the full denominator sequence [0, 1, ..., 1]; ``tags`` has
-    one entry per non-vertical side: ('even',), ('odd',), or
-    ('paired', sid, partner_sid).  Pair indices are assigned 2, 3, ... in
-    order of each pair's left member.
-    """
-    # Chain the cusp numerators: consecutive cusps r/s < u/t satisfy us-rt=1.
-    cusps = [INF, ZERO]
-    r, s = 0, 1
-    for t in denoms[2:]:
-        u, rem = divmod(1 + r * t, s)
-        assert rem == 0, "denominator chain broke: not a Farey pair sequence"
-        cusps.append(Frac(u, t))
-        r, s = u, t
-    assert cusps[-1] == ONE
-
-    labels = [VERTICAL]
-    pair_index: dict[int, int] = {}
-    nxt = 2
-    for tag in tags:
-        if tag[0] == "even":
-            labels.append(EVEN)
-        elif tag[0] == "odd":
-            labels.append(ODD)
-        else:
-            _, sid, partner = tag
-            if sid not in pair_index:
-                pair_index[sid] = pair_index[partner] = nxt
-                nxt += 1
-            labels.append(pair_index[sid])
-    labels.append(VERTICAL)
-    return LabeledPolygon(n, tuple(cusps), tuple(labels))
-
-
 def _grow(n: int, strategy: str) -> LabeledPolygon:
     """Grow the base triangle until no free side remains.
 
@@ -308,7 +272,7 @@ def _grow(n: int, strategy: str) -> LabeledPolygon:
     den_b = [1]  # exact right denominator
     num_l = [0]  # exact left-cusp numerator; num_l/den_a orders the boundary
     nxt = [-1]
-    tags: list[tuple | None] = [None]
+    tags: list[int | None] = [None]  # EVEN, ODD, or the glued side's node
     open_key: list[int | None] = [None]  # pairing key while the side is open
     open_sides: dict[int, list[int]] = {}
     heap: list[tuple[int, int, int]] = []
@@ -321,10 +285,10 @@ def _grow(n: int, strategy: str) -> LabeledPolygon:
         a = den_a[i] % n
         b = den_b[i] % n
         if (a * a + b * b) % n == 0:
-            tags[i] = ("even",)
+            tags[i] = EVEN
             return
         if (a * a + a * b + b * b) % n == 0:
-            tags[i] = ("odd",)
+            tags[i] = ODD
             return
         want = key(-b, a)
         cands = open_sides.get(want, [])
@@ -342,8 +306,8 @@ def _grow(n: int, strategy: str) -> LabeledPolygon:
                 hit = j
         if hit != sibling:
             close(hit)
-        tags[i] = ("paired", i, hit)
-        tags[hit] = ("paired", hit, i)
+        tags[i] = hit
+        tags[hit] = i
 
     def close(i: int) -> None:
         open_sides[open_key[i]].remove(i)
@@ -384,14 +348,24 @@ def _grow(n: int, strategy: str) -> LabeledPolygon:
             if open_key[i] is not None:  # else closed by a pairing since pushed
                 expand(i)
 
-    denoms = [0, 1]
-    out_tags: list[tuple] = []
+    # Walk the boundary; pairs are numbered 2, 3, ... by their left member.
+    cusps, labels = [INF], [VERTICAL]
+    pair_index: dict[int, int] = {}  # right member's node -> its pair's label
+    next_index = 2
     i = 0
     while i != -1:
-        denoms.append(den_b[i])
-        out_tags.append(tags[i])
+        cusps.append(Frac(num_l[i], den_a[i]))
+        tag = tags[i]
+        if tag < 0:
+            labels.append(tag)
+        elif i in pair_index:
+            labels.append(pair_index.pop(i))
+        else:
+            pair_index[tag] = next_index
+            labels.append(next_index)
+            next_index += 1
         i = nxt[i]
-    return _assemble(n, denoms, out_tags)
+    return LabeledPolygon(n, tuple(cusps) + (ONE,), tuple(labels) + (VERTICAL,))
 
 
 GROWTH_STRATEGIES = ("leftmost", "smallest-mediant")

@@ -5,18 +5,19 @@ A *level-n Farey triple* is a cyclic triple of coprime positive pairs
 
     a_{i+1} a_i + (a_{i+1} + b_{i+1}) b_i = n      (indices mod 3)
 
-for every i.  Attaching one ideal triangle to the free side with
-denominators (a_i, b_i) of each member of a triple produces three new sides
-that glue onto each other, which is how free sides of the hull of F*_⌊√n⌋
-get resolved when n is a prime or a prime square, and for close twin-prime
-products.
+for every i.  The free sides of the hull of F*_⌊√n⌋ at a prime or
+prime-square level are exactly the members of the triples whose smallest
+pair sum exceeds √n, three sides per triple; those are the triples k(n)
+counts.  Attaching one ideal triangle to the head side of such a triple
+produces two new sides that glue onto its other two members, so the
+optimal and twin builds take their heads straight from the k(n)
+enumeration and classify the finished cusp list once.
 
 Every triple satisfies a_i + b_i = b_{i+1} + a_{i+2} and 3A² < 4n for its
-smallest pair sum A; the triples coming from free hull sides additionally
-have A > √n, and those are the ones k(n) counts.  The level is *cashew* when
-some triple attains A = ⌊√(4n/3)⌋; certificates (s, t, a, b) encode such
-triples arithmetically via n = s·a + t·b with s+t > a > t ≥ b ≥ a−s, and are
-searched for directly, independently of the triple enumeration.
+smallest pair sum A.  The level is *cashew* when some triple attains
+A = ⌊√(4n/3)⌋; certificates (s, t, a, b) encode such triples arithmetically
+via n = s·a + t·b with s+t > a > t ≥ b ≥ a−s, and are searched for
+directly, independently of the triple enumeration.
 
 Both searches do constant work per candidate.  For a head (a0, b0) of sum A
 the relation a1·A + b1·b0 = n fixes b1 ≡ n·b0⁻¹ (mod A) in [1, A−1], so
@@ -31,9 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .farey import Frac, farey_sequence, mediant
-from .invariants import prime_or_prime_square, twin_factors
-from .polygon import LabeledPolygon, polygon_from_cusps, is_maximal
+from .farey import Frac, farey_sequence
+from .invariants import group_invariants, prime_or_prime_square, twin_factors
+from .polygon import LabeledPolygon, is_maximal, polygon_from_cusps
 
 
 class TripleNotApplicable(ValueError):
@@ -323,64 +324,42 @@ def cashew_certificate(n: int) -> CashewCertificate | None:
     return next(_certificates(n), None)
 
 
-def _hull(n: int, v: int) -> LabeledPolygon:
-    return polygon_from_cusps(n, farey_sequence(v))
+def _resolved(n: int, splits: dict[Pair, int], bound: int) -> LabeledPolygon:
+    """The hull of F*_⌊√n⌋ with mediants put on some of its sides, classified once.
 
-
-def _head_sides(n: int, sides: list[Pair]) -> list[Pair]:
-    """The head pair of the canonical triple through each of the given free sides.
-
-    Groups the sides by their triple and checks that every triple covers
-    exactly three of them, so one mediant on each head side resolves them all.
+    ``splits`` maps a hull side's denominator pair (left, right) to the number
+    of mediants it takes, each cut off at the side's left end; the head side
+    of every triple that k(n) counts takes one more.  The result must be
+    maximal, with u(n) triangles and all denominators ≤ bound.
     """
-    grouped: dict[FareyTriple, int] = {}
-    for side in sides:
-        t = triple_from_free_side(n, side)
-        grouped[t] = grouped.get(t, 0) + 1
-    for t, covered in grouped.items():
-        if covered != 3:
-            raise TripleNotApplicable(
-                f"triple {t.pairs} covers {covered} free sides, expected 3"
-            )
-    return [t.pairs[0] for t in grouped]
-
-
-def _free_hull_sides(hull: LabeledPolygon) -> dict[Pair, int]:
-    """Denominator pair -> index of each free side (a Farey hull repeats no pair)."""
-    c = hull.cusps
-    return {(c[i].den, c[i + 1].den): i for i in hull.free_sides()}
-
-
-def _with_inserted(hull: LabeledPolygon, extra: dict[int, tuple[Frac, ...]]) -> LabeledPolygon:
-    """Classified polygon with the cusps extra[i] inserted, in order, after cusp i."""
-    cusps: list[Frac] = []
-    for i, c in enumerate(hull.cusps):
-        cusps.append(c)
-        cusps += extra.get(i, ())
-    return polygon_from_cusps(hull.n, cusps)
+    splits = dict.fromkeys((t.pairs[0] for t in _free_side_triples(n)), 1) | splits
+    seq = farey_sequence(isqrt(n))
+    cusps = seq[:2]
+    for y in seq[2:]:
+        x = cusps[-1]
+        r = splits.get((x.den, y.den))
+        if r:  # (j·x.num + y.num)/(j·x.den + y.den) rises from x towards y as j falls
+            cusps += [Frac(j * x.num + y.num, j * x.den + y.den) for j in range(r, 0, -1)]
+        cusps.append(y)
+    P = polygon_from_cusps(n, cusps)
+    assert is_maximal(P), f"construction left free sides at n={n}"
+    assert len(P) == group_invariants(n).u + 2, f"triangle count is not u(n) at n={n}"
+    assert P.max_denominator() <= bound, f"denominator bound {bound} broken at n={n}"
+    return P
 
 
 def build_optimal_polygon(n: int) -> LabeledPolygon:
     """Maximal polygon with all denominators ≤ ⌊√(4n/3)⌋, n prime or p².
 
-    Takes the hull of F*_⌊√n⌋ and resolves each free side by attaching the
-    triangle fan of its triple: one mediant on the head side of each triple
-    is enough, because the two sides it creates glue onto the triple's other
-    two members.  Free hull sides are indexed by their denominator pairs, so
-    each mediant is inserted straight after its side's left cusp and the
-    final cusp list is classified once, with no sort.
+    The free sides of the hull of F*_⌊√n⌋ are exactly the members of the
+    triples that k(n) counts, three sides per triple.  One mediant on each
+    triple's head side resolves all three, because the two sides it creates
+    glue onto the triple's other two members.  The heads come straight from
+    the k(n) enumeration, so the hull itself is never classified.
     """
     if not prime_or_prime_square(n):
         raise ValueError(f"{n} is not a prime or the square of a prime")
-    hull = _hull(n, isqrt(n))
-    free = _free_hull_sides(hull)
-    heads = [free[h] for h in _head_sides(n, list(free))]
-    c = hull.cusps
-    P = _with_inserted(hull, {i: (mediant(c[i], c[i + 1]),) for i in heads})
-    assert is_maximal(P), f"optimal construction left free sides at n={n}"
-    bound = cashew_ceiling(n)
-    assert P.max_denominator() <= bound, f"denominator bound {bound} broken at n={n}"
-    return P
+    return _resolved(n, {}, cashew_ceiling(n))
 
 
 def twin_eligible(p: int, q: int) -> bool:
@@ -391,40 +370,17 @@ def twin_eligible(p: int, q: int) -> bool:
 def build_twin_polygon(p: int, q: int) -> LabeledPolygon:
     """Maximal polygon for n = pq, p < q odd primes with √q − √p < √2.
 
-    Start from the hull of F*_v, v = p + k - 1 with k = (q-p)/2.  The hull
-    sides with denominator pairs (k, p) and (i, q-i) for k < i < p+k are
-    free; they get resolved by mediant insertions of denominator q (the
-    (k, p) side needs two: its first mediant p+k leaves a (k, p+k) piece
-    that splits again at q).  Any remaining free sides carry ordinary
-    triples.  All denominators end up ≤ max(⌊√(4n/3)⌋, q).  As in
-    ``build_optimal_polygon``, every new cusp is inserted at its side's hull
-    index (the (k, p) side's two in boundary order, q before p+k) and the
-    final cusp list is classified once.
+    Start from the hull of F*_v, v = p + k − 1 with k = (q − p)/2; v = ⌊√n⌋
+    since eligibility gives k² < p + q − 1.  The hull sides with denominator
+    pairs (k, p), (p, k) and (i, q − i) for k < i < p + k are free.  The
+    (k, p) side takes two mediants at its left end, of denominators p + k
+    and q, and each (i, q − i) side one, of denominator q; (p, k) then glues
+    onto the (p + k, p) piece.
+    The other free sides are the members of the k(n) triples, resolved as
+    in ``build_optimal_polygon``.  All denominators end up ≤ max(⌊√(4n/3)⌋, q).
     """
     if not twin_eligible(p, q):
         raise ValueError(f"({p}, {q}) is not an eligible odd prime pair")
-    n = p * q
     k = (q - p) // 2
-    v = p + k - 1
-    hull = _hull(n, v)
-    free = _free_hull_sides(hull)
-    a_sides = {(k, p), (p, k)} | {(i, q - i) for i in range(k + 1, p + k)}
-    missing = a_sides.difference(free)
-    if missing:
-        raise RuntimeError(f"expected free sides {sorted(missing)} at n={n}")
-
-    # (k, p): split at the mediant m1, then split the left piece again at
-    # denominator q.  (p, k) stays unsplit; each middle side splits once.
-    c = hull.cusps
-    split = free[(k, p)]
-    m1 = mediant(c[split], c[split + 1])
-    extra = {split: (mediant(c[split], m1), m1)}
-    middle = [free[(i, q - i)] for i in range(k + 1, p + k)]
-    rest = [d for d in free if d not in a_sides]
-    for i in middle + [free[h] for h in _head_sides(n, rest)]:
-        extra[i] = (mediant(c[i], c[i + 1]),)
-    P = _with_inserted(hull, extra)
-    assert is_maximal(P), f"twin construction left free sides at n={n}"
-    bound = max(cashew_ceiling(n), q)
-    assert P.max_denominator() <= bound, f"denominator bound {bound} broken at n={n}"
-    return P
+    splits = {(k, p): 2} | {(i, q - i): 1 for i in range(k + 1, p + k)}
+    return _resolved(p * q, splits, max(cashew_ceiling(p * q), q))

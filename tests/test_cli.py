@@ -125,6 +125,13 @@ def test_bounds_exact_budget_exhaustion(capsys):
     assert "no maximal polygon" in err
 
 
+def test_bounds_max_bound_needs_exact(capsys):
+    code, out, err = run_cli(capsys, "bounds", "41", "--max-bound", "6")
+    assert code == 2
+    assert out == ""
+    assert "--max-bound needs --exact" in err
+
+
 def test_cashew_output(capsys):
     code, out, _ = run_cli(capsys, "cashew", "41")
     assert code == 0

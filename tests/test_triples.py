@@ -6,6 +6,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gamma0.polygon
 from gamma0.farey import farey_sequence
 from gamma0.invariants import (
     group_invariants,
@@ -218,8 +219,63 @@ def test_build_optimal_polygon(n):
     assert len(P.cusps) - 2 == group_invariants(n).u
 
 
+def _free_hull_sides(n):
+    hull = polygon_from_cusps(n, farey_sequence(isqrt(n)))
+    return [hull.side_denominators(i) for i in hull.free_sides()]
+
+
+def test_k_triples_are_the_free_hull_sides():
+    # the builds put their mediants on canonical_triples(n) heads, never
+    # looking at the hull's labels: this is the fact that makes that enough
+    for n in range(2, 3001):
+        if prime_or_prime_square(n):
+            members = [pair for t in canonical_triples(n) for pair in t.pairs]
+            assert sorted(members) == sorted(_free_hull_sides(n)), n
+            assert len(set(members)) == len(members), n
+
+
+def test_k_triples_are_the_free_hull_sides_besides_the_twin_sides():
+    for n in range(15, 5001):
+        if twin_factors(n) is None:
+            continue
+        p, q = twin_factors(n)
+        k = (q - p) // 2
+        assert isqrt(n) == p + k - 1, n  # the twin build's hull is F*_⌊√n⌋
+        special = {(k, p), (p, k)} | {(i, q - i) for i in range(k + 1, p + k)}
+        free = _free_hull_sides(n)
+        assert special <= set(free), n
+        members = [pair for t in canonical_triples(n) for pair in t.pairs]
+        assert sorted(members) == sorted(d for d in free if d not in special), n
+        assert len(set(members)) == len(members), n
+
+
+@pytest.mark.parametrize(
+    "build,args",
+    [
+        pytest.param(build_optimal_polygon, (n,), id=f"optimal-{n}")
+        for n in (2, 41, 49, 1009, 7741)
+    ]
+    + [
+        pytest.param(build_twin_polygon, (p, q), id=f"twin-{p}-{q}")
+        for p, q in ((3, 5), (3, 7), (11, 13), (71, 73))
+    ],
+)
+def test_builds_classify_once(monkeypatch, build, args):
+    calls = []
+    classify_all = gamma0.polygon._classify_all
+
+    def counted(n, cusps):
+        calls.append(n)
+        return classify_all(n, cusps)
+
+    monkeypatch.setattr(gamma0.polygon, "_classify_all", counted)
+    build(*args)
+    assert len(calls) == 1
+
+
 def test_optimal_build_matches_sorted_reference():
-    # mediants inserted at their hull index give the sorted, reclassified polygon
+    # mediants on the k(n) heads, put in by one walk, give the reference's
+    # sorted, reclassified polygon built from the hull's free sides
     for n in range(2, 3001):
         if prime_or_prime_square(n):
             assert build_optimal_polygon(n) == sorted_optimal_polygon(n), n

@@ -1,8 +1,10 @@
 """Plain versions that the searches and builds in ``gamma0.triples`` must match.
 
 The searches as first written, with no window on a1, b0 or t, and the
-optimal and twin builds as first written, which sort every cusp and classify
-the result; the tests compare the library against them list for list.
+optimal and twin builds as first written: they classify the hull, find the
+triple through each free side with ``triple_from_free_side`` (not the k(n)
+enumeration), sort every mediant in and classify the result.  The tests
+compare the library against them list for list.
 """
 
 from math import gcd, isqrt
@@ -12,9 +14,9 @@ from gamma0.polygon import polygon_from_cusps
 from gamma0.triples import (
     CashewCertificate,
     FareyTriple,
-    _head_sides,
     cashew_ceiling,
     is_farey_triple,
+    triple_from_free_side,
 )
 
 
@@ -84,6 +86,15 @@ def _side_mediant(a, b):
 
 def _sorted_polygon(hull, extra):
     return polygon_from_cusps(hull.n, [INF] + sorted([*hull.cusps[1:], *extra]))
+
+
+def _head_sides(n, sides):
+    """The head pair of the triple through each free side, three sides per triple."""
+    grouped = {}
+    for side in sides:
+        grouped.setdefault(triple_from_free_side(n, side), []).append(side)
+    assert all(len(covered) == 3 for covered in grouped.values()), n
+    return [t.pairs[0] for t in grouped]
 
 
 def _free_dens(P):
