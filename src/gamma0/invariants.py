@@ -1,4 +1,4 @@
-"""Closed-form invariants of Gamma0(n) and the exact search oracle for m.
+"""Closed-form invariants of Gamma0(n) and the certified exact m.
 
 The classical formulas: the index of Gamma0(n) in PSL(2,Z) is
 n·∏_{p|n}(1+1/p); the cusp count is v∞(n) = Σ_{d|n} φ(gcd(d, n/d)); the
@@ -8,13 +8,19 @@ usual local factors; the genus comes out of Riemann-Hurwitz.  u(n) =
 equivalently its cusp count minus 2.
 
 m(Gamma0(n)) is the smallest possible value of the largest cusp denominator
-over all maximal polygons.  ``m_exact_search`` computes it by exhaustive
-bounded growth — it shares no code with the closed-form bound machinery,
-which is the point: it is the independent oracle the bounds are tested
-against.  It finds gluing partners through the same P¹(Z/nZ) pairing key as
-``polygon`` (``_key_function``, defined here), and that key is checked
-against the raw congruence n | ac + bd by the property test
-``test_pairing_key_is_the_gluing_congruence``.
+over all maximal polygons.  ``m_exact_search`` certifies it from two proofs.
+The lower one is a count: a maximal polygon holds one Farey triangle from
+each of the u(n) orbits with trivial stabiliser, and each triangle but the
+base one has its largest denominator at its mediant, so the least mediant
+bound c(n) at which the triangles meet all u(n) orbits is a lower bound.
+The upper one is a witness: the optimal, twin or smallest-mediant polygon,
+checked here to be maximal with u(n) + 2 cusps, whose largest denominator w
+is admissible.  Only when c(n) < w does the exhaustive bounded search run,
+on the bounds in that gap; outside it, the search stays the tests' oracle
+for the certified value.  Triangle names and the search both use the
+P¹(Z/nZ) pairing key of ``polygon`` (``_key_function``, defined here), and
+that key is checked against the raw congruence n | ac + bd by the property
+test ``test_pairing_key_is_the_gluing_congruence``.
 
 The lower bound ⌊√n⌋ is attained iff u(n) = Φ(⌊√n⌋).  Φ comes from one
 cumulative totient table in plain ints, grown on demand and shared by
@@ -27,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, compress, count
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 
 
 class SearchExhausted(RuntimeError):
@@ -294,6 +300,60 @@ class _Sides:
         self.bound = max(self.bound, bound)
 
 
+def _triangle_names(n: int):
+    """Yield (s, name) for the Farey triangles below the side (0, 1), by mediant s.
+
+    The triangle over side (a, b) has the edges (a, b), (−b, a+b), (−a−b, a)
+    under R, so the least of their keys names its Γ₀(n)-orbit.  Triangles
+    fixed by R, where n | a² + ab + b², are skipped; the base triangle
+    (∞, 0, 1) comes first as (a, b) = (0, 1), with s = 1.
+    """
+    key = _key_function(n)
+    yield 1, min(key(0, 1), key(-1, 1), key(-1, 0))
+    for s in count(2):
+        for a in range(1, s):
+            b = s - a
+            if gcd(a, b) == 1 and (a * a + a * b + b * b) % n:
+                yield s, min(key(a, b), key(-b, s), key(-s, a))
+
+
+def _cover_bound(n: int, u: int) -> int:
+    """c(n) ≤ m(n): the least s at which the triangles with mediant ≤ s meet u orbits.
+
+    A maximal polygon holds one triangle from each of the u(n) orbits with
+    trivial stabiliser, and every triangle but the base one has its largest
+    denominator at its mediant, so no polygon with denominators < c(n) is
+    maximal.
+    """
+    seen = set()
+    for s, name in _triangle_names(n):
+        seen.add(name)
+        if len(seen) == u:
+            return s
+
+
+def _witness_bound(n: int, u: int) -> int:
+    """The largest denominator of a maximal polygon, checked here: m(n) ≤ it.
+
+    The optimal polygon serves primes and prime squares, the twin polygon
+    eligible pq, and smallest-mediant growth every other level.
+    """
+    from .polygon import grow_maximal, is_maximal
+    from .triples import build_optimal_polygon, build_twin_polygon
+
+    if prime_or_prime_square(n):
+        P = build_optimal_polygon(n)
+    elif (tw := twin_factors(n)) is not None:
+        P = build_twin_polygon(*tw)
+    else:
+        P = grow_maximal(n, "smallest-mediant")
+    if not is_maximal(P):
+        raise RuntimeError(f"witness polygon at n={n} has free sides")
+    if len(P) != u + 2:
+        raise RuntimeError(f"witness polygon at n={n} has {len(P)} cusps, not u(n) + 2 = {u + 2}")
+    return P.max_denominator()
+
+
 def _admits_bound(n: int, bound: int, sides: _Sides | None = None) -> bool:
     """Is there a maximal Gamma0(n)-polygon with all denominators ≤ bound?
 
@@ -375,28 +435,38 @@ def _admits_bound(n: int, bound: int, sides: _Sides | None = None) -> bool:
 
 
 def m_exact_search(n: int, max_bound: int | None = None, min_bound: int | None = None) -> int:
-    """Exact m(Gamma0(n)) by iterative deepening over the denominator bound.
+    """Exact m(Gamma0(n)): the first admissible denominator bound ≥ min_bound.
 
-    Deepening starts at ⌊√n⌋ by default (pass min_bound=1 to re-prove the
-    lower bound for a given n instead of assuming it) and gives up past
-    max_bound.  With no max_bound the deepening is unbounded: it stops at the
-    first admissible bound, and one always exists (every maximal polygon
-    admits its own largest denominator).
+    Two proofs bracket m.  The cover bound c(n) ≤ m rules out every smaller
+    bound, and a checked witness polygon with largest denominator w admits
+    w.  The search starts at lo = max(min_bound, c(n)), where min_bound
+    defaults to ⌊√n⌋ (pass min_bound=1 to prove the lower bound from the
+    cover alone).  When lo ≥ w, lo is the answer.  Otherwise
+    ``_admits_bound`` deepens over lo … w − 1 and w is the answer if no
+    bound in that gap is admitted.  SearchExhausted is raised when the
+    answer would exceed max_bound.
     """
     if n < 2:
         raise ValueError("level must be at least 2")
     lo = isqrt(n) if min_bound is None else min_bound
     if lo < 1:
         raise ValueError("min_bound must be positive")
-    if max_bound is None:
-        bounds = count(lo)
-    elif max_bound < lo:
+    budget = inf if max_bound is None else max_bound
+    exhausted = f"no maximal polygon for n={n} with denominators <= {max_bound}"
+    if lo > budget:
         # A budget below the smallest admissible bound is just exhaustion.
-        raise SearchExhausted(f"no maximal polygon for n={n} with denominators <= {max_bound}")
-    else:
-        bounds = range(lo, max_bound + 1)
+        raise SearchExhausted(exhausted)
+    u = group_invariants(n).u
+    lo = max(lo, _cover_bound(n, u))
+    if lo > budget:
+        raise SearchExhausted(exhausted)
+    w = _witness_bound(n, u)
+    if lo >= w:
+        return lo
     sides = _Sides(n)
-    for bound in bounds:
+    for bound in range(lo, min(w, budget + 1)):
         if _admits_bound(n, bound, sides):
             return bound
-    raise SearchExhausted(f"no maximal polygon for n={n} with denominators <= {max_bound}")
+    if w > budget:
+        raise SearchExhausted(exhausted)
+    return w

@@ -68,6 +68,10 @@ class LabeledPolygon:
         if self.n < 2:
             raise ValueError("level must be at least 2")
         _check_cusps(self.cusps)
+        self._check_labels()
+
+    def _check_labels(self) -> None:
+        """Validate the labels against the cusps and derive the partner table."""
         if len(self.labels) != len(self.cusps):
             raise ValueError("need exactly one label per side")
         if self.labels[0] != VERTICAL or self.labels[-1] != VERTICAL:
@@ -214,10 +218,22 @@ def _classify_all(n: int, cusps: tuple[Frac, ...]) -> list[int]:
 
 
 def polygon_from_cusps(n: int, cusps) -> LabeledPolygon:
-    """Build a LabeledPolygon from a cusp list, classifying all sides."""
+    """Build a LabeledPolygon from a cusp list, classifying all sides.
+
+    The cusps are checked once, before classification (the keys need coprime
+    adjacent denominators), so the polygon is made without ``__init__``, whose
+    ``__post_init__`` would check them again.
+    """
     cusps = tuple(cusps)
-    _check_cusps(cusps)  # the keys need coprime adjacent denominators
-    return LabeledPolygon(n, cusps, tuple(_classify_all(n, cusps)))
+    _check_cusps(cusps)
+    if n < 2:
+        raise ValueError("level must be at least 2")
+    P = object.__new__(LabeledPolygon)
+    object.__setattr__(P, "n", n)
+    object.__setattr__(P, "cusps", cusps)
+    object.__setattr__(P, "labels", tuple(_classify_all(n, cusps)))
+    P._check_labels()
+    return P
 
 
 def base_polygon(n: int) -> LabeledPolygon:

@@ -118,6 +118,31 @@ def test_bounds_exact_default_budget_at_composite_level(capsys):
     assert json.loads(out)["exact"] == 11
 
 
+_EXACT_CLI_UNDER_512MIB = """
+import contextlib, io, json, resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+from gamma0.cli import main
+for n in (72, 100, 144, 841, 961):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["bounds", str(n), "--exact", "--json"]) == 0, n
+    print(json.loads(out.getvalue())["exact"])
+"""
+
+
+def test_bounds_exact_at_composite_levels_under_512mib():
+    # these levels ran the search out of a 2 GiB address space; the cover
+    # bound and the witness polygon now settle them without searching
+    pytest.importorskip("resource")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXACT_CLI_UNDER_512MIB],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["36", "50", "72", "32", "35"]
+
+
 def test_bounds_exact_budget_exhaustion(capsys):
     code, out, err = run_cli(capsys, "bounds", "41", "--exact", "--max-bound", "6")
     assert code == 1

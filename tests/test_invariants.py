@@ -8,6 +8,7 @@ for the index, and triangle counting on grown polygons for u(n).
 import os
 import subprocess
 import sys
+from itertools import count, takewhile
 from math import gcd, isqrt
 
 import pytest
@@ -19,7 +20,9 @@ from gamma0.invariants import (
     GroupInvariants,
     SearchExhausted,
     _admits_bound,
+    _cover_bound,
     _Sides,
+    _triangle_names,
     divisors,
     equality_list,
     euler_phi,
@@ -33,6 +36,7 @@ from gamma0.invariants import (
     twin_factors,
 )
 from gamma0.polygon import grow_maximal
+from gamma0.triples import cashew_certificate
 
 from exact_reference import reference_admits_bound, reference_m_exact_search
 
@@ -261,6 +265,47 @@ def test_m_exact_search_leaves_the_recursion_limit_alone(monkeypatch):
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     assert m_exact_search(709) == 30
+
+
+def test_triangle_names_meet_every_orbit():
+    # the premise of the cover bound: the names of the triangles with
+    # trivial stabiliser are the u(n) = (index − v3)/3 orbits, counted here
+    # from index and v3 rather than read off the u formula
+    for n in range(2, 201):
+        inv = group_invariants(n)
+        names = {name for s, name in takewhile(lambda t: t[0] <= n + 2, _triangle_names(n))}
+        assert len(names) == (inv.index - inv.v3) // 3, n
+
+
+def test_cover_bound_and_witness_bracket_the_gap_at_30():
+    # the one level below 1500 where the cover bound is not attained by the
+    # witness: smallest-mediant growth reaches 17, the search admits 15
+    assert _cover_bound(30, group_invariants(30).u) == 15
+    assert grow_maximal(30, "smallest-mediant").max_denominator() == 17
+    assert m_exact_search(30) == 15
+    assert m_exact_search(30, max_bound=15) == 15  # a budget below the witness
+    assert m_exact_search(30, min_bound=16) == 16  # admissible, though not minimal
+
+
+def test_keyed_deepening_equals_the_certified_search():
+    # m_exact_search settles these levels without calling _admits_bound, so
+    # the keyed search, deepened from ⌊√n⌋ on one _Sides, is checked here
+    levels = list(range(2, 40)) + [n for n in range(37, 801) if prime_or_prime_square(n)]
+    assert len(levels) == 38 + 134
+    for n in levels:
+        sides = _Sides(n)
+        m = next(b for b in count(isqrt(n)) if _admits_bound(n, b, sides))
+        assert m_exact_search(n) == m, n
+
+
+def test_characterisations_at_primes_and_prime_squares_to_5000():
+    # criterion 5 checks these up to 300; the certified search reaches further
+    levels = [n for n in range(37, 5001) if prime_or_prime_square(n)]
+    assert len(levels) == 674
+    for n in levels:
+        m = m_exact_search(n)
+        assert (m == isqrt(n)) == (group_invariants(n).u == totient_summatory(isqrt(n))), n
+        assert (m == isqrt(4 * n // 3)) == (cashew_certificate(n) is not None), n
 
 
 _EXACT_UNDER_512MIB = """

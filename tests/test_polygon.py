@@ -8,6 +8,7 @@ from math import isqrt
 import pytest
 
 import gamma0
+import gamma0.polygon as polygon_module
 from gamma0.farey import INF, ONE, ZERO, Frac, farey_sequence, mediant
 from gamma0.invariants import group_invariants, prime_or_prime_square, twin_factors
 from gamma0.polygon import (
@@ -85,6 +86,20 @@ def test_polygon_from_cusps_rejects_non_farey_cusps(n):
     # check must name the fault before any side is classified
     with pytest.raises(ValueError, match="Farey pair"):
         polygon_from_cusps(n, (INF, ZERO, Frac(1, 2), Frac(3, 4), ONE))
+
+
+def test_polygon_from_cusps_checks_the_cusps_once(monkeypatch):
+    calls = []
+    check = polygon_module._check_cusps
+    monkeypatch.setattr(polygon_module, "_check_cusps", lambda c: calls.append(c) or check(c))
+    cusps = tuple(farey_sequence(6))
+    P = polygon_from_cusps(41, cusps)
+    assert calls == [cusps]
+    Q = LabeledPolygon(41, P.cusps, P.labels)  # the constructor still checks
+    assert len(calls) == 2
+    assert Q == P and Q._mates == P._mates
+    with pytest.raises(ValueError, match="level must be at least 2"):
+        polygon_from_cusps(1, cusps)
 
 
 def test_base_polygon_small_levels():
