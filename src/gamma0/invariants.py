@@ -261,43 +261,13 @@ def m_bounds(n: int) -> tuple[int, bool, int | None]:
     inv = group_invariants(n)
     lower = isqrt(n)
     lower_is_exact = inv.u == totient_summatory(lower)
+    ceiling = isqrt(4 * n // 3)
     upper: int | None = None
     if prime_or_prime_square(n):
-        upper = isqrt(4 * n // 3)
-    else:
-        tw = twin_factors(n)
-        if tw is not None:
-            upper = max(isqrt(4 * n // 3), tw[1])
+        upper = ceiling
+    elif (tw := twin_factors(n)) is not None:
+        upper = max(ceiling, tw[1])
     return lower, lower_is_exact, upper
-
-
-class _Sides:
-    """Pairing data of the sides an exact search at level n can meet.
-
-    ``record[(a, b)]`` is (closed, own key, partner key) for every coprime
-    pair with a, b ≤ ``bound``: closed means even or odd, and the keys come
-    from ``_key_function``.  ``reach[k]`` is the smallest bound at which a
-    side with key k exists.  ``extend`` raises ``bound`` and keeps what is
-    already there, so iterative deepening computes each key once per level.
-    """
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.key = _key_function(n)
-        self.bound = 0
-        self.record: dict[tuple[int, int], tuple[bool, int, int]] = {}
-        self.reach: dict[int, int] = {}
-
-    def extend(self, bound: int) -> None:
-        n, key, record, reach = self.n, self.key, self.record, self.reach
-        for c in range(self.bound + 1, bound + 1):
-            for a, b in [(a, c) for a in range(1, c + 1)] + [(c, b) for b in range(1, c)]:
-                if gcd(a, b) == 1:
-                    own = key(a, b)
-                    closed = (a * a + b * b) % n == 0 or (a * a + a * b + b * b) % n == 0
-                    record[a, b] = (closed, own, key(-b, a))
-                    reach.setdefault(own, c)
-        self.bound = max(self.bound, bound)
 
 
 def _triangle_names(n: int):
@@ -354,7 +324,7 @@ def _witness_bound(n: int, u: int) -> int:
     return P.max_denominator()
 
 
-def _admits_bound(n: int, bound: int, sides: _Sides | None = None) -> bool:
+def _admits_bound(n: int, bound: int) -> bool:
     """Is there a maximal Gamma0(n)-polygon with all denominators ≤ bound?
 
     Left-to-right decision search.  The pending stack holds boundary sides
@@ -372,15 +342,21 @@ def _admits_bound(n: int, bound: int, sides: _Sides | None = None) -> bool:
     will do).  The search runs on an explicit stack with one frame per
     genuine branch, and the memo of failed states holds those branch states
     keyed on (pending stack, open keys), so equivalent states merge; the
-    forced moves between two branches are replayed, not stored.  ``sides``
-    carries the side records over from another bound at the same level.
+    forced moves between two branches are replayed, not stored.
+
+    ``record[(a, b)]`` is (closed, own key, partner key) for every coprime
+    pair with a, b ≤ bound, closed meaning even or odd, and ``present``
+    holds the keys of those sides: a side can be deferred only when some
+    side within the bound could glue onto it.
     """
-    if sides is None:
-        sides = _Sides(n)
-    sides.extend(bound)
-    record = sides.record
-    reach = sides.reach
-    unreachable = bound + 1
+    key = _key_function(n)
+    record: dict[tuple[int, int], tuple[bool, int, int]] = {}
+    for a in range(1, bound + 1):
+        for b in range(1, bound + 1):
+            if gcd(a, b) == 1:
+                closed = (a * a + b * b) % n == 0 or (a * a + a * b + b * b) % n == 0
+                record[a, b] = (closed, key(a, b), key(-b, a))
+    present = {own for _, own, _ in record.values()}
 
     failed: set[tuple] = set()
     frames: list[tuple] = []  # (branch state, its deferral, or None once tried)
@@ -400,7 +376,7 @@ def _admits_bound(n: int, bound: int, sides: _Sides | None = None) -> bool:
                 open_keys = open_keys[:i] + open_keys[i + 1 :]
                 continue
             waits = p in rest_keys  # its partner is still pending
-            if waits or reach.get(p, unreachable) <= bound:
+            if waits or p in present:
                 i = bisect_left(open_keys, k)
                 deferral = (rest, rest_keys, open_keys[:i] + (k,) + open_keys[i:])
             else:
@@ -463,9 +439,8 @@ def m_exact_search(n: int, max_bound: int | None = None, min_bound: int | None =
     w = _witness_bound(n, u)
     if lo >= w:
         return lo
-    sides = _Sides(n)
     for bound in range(lo, min(w, budget + 1)):
-        if _admits_bound(n, bound, sides):
+        if _admits_bound(n, bound):
             return bound
     if w > budget:
         raise SearchExhausted(exhausted)

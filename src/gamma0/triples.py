@@ -16,15 +16,15 @@ enumeration and classify the finished cusp list once.
 Every triple satisfies a_i + b_i = b_{i+1} + a_{i+2} and 3A² < 4n for its
 smallest pair sum A.  The level is *cashew* when some triple attains
 A = ⌊√(4n/3)⌋; certificates (s, t, a, b) encode such triples arithmetically
-via n = s·a + t·b with s+t > a > t ≥ b ≥ a−s, and are searched for
-directly, independently of the triple enumeration.
+via n = s·a + t·b with s+t > a > t ≥ b ≥ a−s.  They are read off the same
+enumeration: the canonical triples ((a−b, b), (s, t), ·) of head sum
+⌊√(4n/3)⌋ with t ≥ b.
 
-Both searches do constant work per candidate.  For a head (a0, b0) of sum A
-the relation a1·A + b1·b0 = n fixes b1 ≡ n·b0⁻¹ (mod A) in [1, A−1], so
-each b0 has one candidate, and with D = A² − n minimality leaves only
-b0 ∈ [⌈D/(A−1)⌉, A − 1 − ⌊D/(A−1)⌋] (see ``_canonical_heads``).  A
-certificate's t is a divisor of n − s·a in [⌈√(n − s·a)⌉, (n − s·a)/(a − s)]
-(see ``_certificates``).  The tests keep the plain scans as references.
+The enumeration does constant work per candidate.  For a head (a0, b0) of
+sum A the relation a1·A + b1·b0 = n fixes b1 ≡ n·b0⁻¹ (mod A) in [1, A−1],
+so each b0 has one candidate, and with D = A² − n minimality leaves only
+b0 ∈ [⌈D/(A−1)⌉, A − 1 − ⌊D/(A−1)⌋] (see ``_canonical_heads``).  The tests
+keep the plain scans as references.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .farey import Frac, farey_sequence
-from .invariants import group_invariants, prime_or_prime_square, twin_factors
+from .invariants import group_invariants, m_bounds, prime_or_prime_square, twin_factors
 from .polygon import LabeledPolygon, is_maximal, polygon_from_cusps
 
 
@@ -276,61 +276,41 @@ def cashew_ceiling(n: int) -> int:
     return isqrt(4 * n // 3)
 
 
-def _certificates(n: int):
-    """Yield the certificates of level n, by descending s then ascending t.
+def cashew_certificates(n: int) -> list[CashewCertificate]:
+    """All certificates, ordered by descending s then ascending t.
 
-    For each s, rem = n − s·a must factor as t·b.  The condition b ≤ t reads
-    t ≥ ⌈√rem⌉ and, when a − s ≥ 1, b ≥ a − s reads t ≤ rem // (a − s); with
-    a − s < t < a that is the whole window of t to try.  rem grows as s
-    falls, so once ⌈√rem⌉ ≥ a no smaller s has a window and the search
-    stops.  Candidates whose encoded triple is invalid (possible only
-    through a common factor, at composite levels) are dropped, so a
-    certificate exists exactly when some triple attains the ceiling.
+    They are the canonical triples ((a−b, b), (s, t), ·) with head sum
+    a = ⌊√(4n/3)⌋ and t ≥ b: ``_canonical_heads`` already checks
+    n = s·a + t·b, a > t, s + t > a and b ≥ a − s, and that the triple is
+    valid.  The list is empty exactly when no triple attains the ceiling;
+    the tests check that against the triple enumeration, and the list
+    against an unbounded scan of every (s, t).
     """
     if n < 2:
         raise ValueError("level must be at least 2")
     a = cashew_ceiling(n)
-    if a < 2:
-        return
-    for s in range((n - 1) // a, 0, -1):
-        rem = n - s * a
-        root = isqrt(rem - 1) + 1  # ⌈√rem⌉
-        if root >= a:
-            return
-        lo, hi = max(a - s + 1, root), a - 1
-        if a - s >= 1:
-            hi = min(hi, rem // (a - s))
-        for t in range(lo, hi + 1):
-            if rem % t:
-                continue
-            cert = CashewCertificate(s=s, t=t, a=a, b=rem // t)
-            if is_farey_triple(cert.triple(), n):
-                yield cert
-
-
-def cashew_certificates(n: int) -> list[CashewCertificate]:
-    """All certificates, ordered by descending s then ascending t.
-
-    Each is checked as a triple, so the list is empty exactly when no
-    triple attains the ceiling; the tests cross-check that equivalence
-    against the triple enumeration and the search against an unbounded
-    scan of every (s, t).
-    """
-    return list(_certificates(n))
+    certs = [
+        CashewCertificate(s=s, t=t, a=a, b=b)
+        for (_, b), (s, t), _ in _canonical_heads(n, a)
+        if t >= b
+    ]
+    return sorted(certs, key=lambda c: (-c.s, c.t))
 
 
 def cashew_certificate(n: int) -> CashewCertificate | None:
-    """First certificate in the search order, or None when not cashew."""
-    return next(_certificates(n), None)
+    """First certificate in that order (largest s), or None when not cashew."""
+    certs = cashew_certificates(n)
+    return certs[0] if certs else None
 
 
-def _resolved(n: int, splits: dict[Pair, int], bound: int) -> LabeledPolygon:
+def _resolved(n: int, splits: dict[Pair, int]) -> LabeledPolygon:
     """The hull of F*_⌊√n⌋ with mediants put on some of its sides, classified once.
 
     ``splits`` maps a hull side's denominator pair (left, right) to the number
     of mediants it takes, each cut off at the side's left end; the head side
     of every triple that k(n) counts takes one more.  The result must be
-    maximal, with u(n) triangles and all denominators ≤ bound.
+    maximal, with u(n) triangles and all denominators ≤ the upper bound of
+    ``m_bounds``.
     """
     splits = dict.fromkeys((t.pairs[0] for t in _free_side_triples(n)), 1) | splits
     seq = farey_sequence(isqrt(n))
@@ -344,6 +324,7 @@ def _resolved(n: int, splits: dict[Pair, int], bound: int) -> LabeledPolygon:
     P = polygon_from_cusps(n, cusps)
     assert is_maximal(P), f"construction left free sides at n={n}"
     assert len(P) == group_invariants(n).u + 2, f"triangle count is not u(n) at n={n}"
+    bound = m_bounds(n)[2]
     assert P.max_denominator() <= bound, f"denominator bound {bound} broken at n={n}"
     return P
 
@@ -359,7 +340,7 @@ def build_optimal_polygon(n: int) -> LabeledPolygon:
     """
     if not prime_or_prime_square(n):
         raise ValueError(f"{n} is not a prime or the square of a prime")
-    return _resolved(n, {}, cashew_ceiling(n))
+    return _resolved(n, {})
 
 
 def twin_eligible(p: int, q: int) -> bool:
@@ -383,4 +364,4 @@ def build_twin_polygon(p: int, q: int) -> LabeledPolygon:
         raise ValueError(f"({p}, {q}) is not an eligible odd prime pair")
     k = (q - p) // 2
     splits = {(k, p): 2} | {(i, q - i): 1 for i in range(k + 1, p + k)}
-    return _resolved(p * q, splits, max(cashew_ceiling(p * q), q))
+    return _resolved(p * q, splits)

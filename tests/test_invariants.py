@@ -21,7 +21,6 @@ from gamma0.invariants import (
     SearchExhausted,
     _admits_bound,
     _cover_bound,
-    _Sides,
     _triangle_names,
     divisors,
     equality_list,
@@ -243,13 +242,10 @@ def test_m_exact_search_budget():
 @pytest.mark.parametrize("n", range(2, 36))
 def test_admits_bound_matches_the_scan_search(n):
     m = reference_m_exact_search(n)
-    sides = _Sides(n)
-    sides.extend(m)  # records made for a larger bound serve every smaller one
     for bound in range(isqrt(n), m + 1):
         expected = reference_admits_bound(n, bound)
         assert expected == (bound == m)
         assert _admits_bound(n, bound) == expected, bound
-        assert _admits_bound(n, bound, sides) == expected, bound
 
 
 def test_m_exact_search_matches_the_scan_search_at_primes_and_prime_squares():
@@ -289,12 +285,11 @@ def test_cover_bound_and_witness_bracket_the_gap_at_30():
 
 def test_keyed_deepening_equals_the_certified_search():
     # m_exact_search settles these levels without calling _admits_bound, so
-    # the keyed search, deepened from ⌊√n⌋ on one _Sides, is checked here
+    # the keyed search, deepened from ⌊√n⌋ one bound at a time, is checked here
     levels = list(range(2, 40)) + [n for n in range(37, 801) if prime_or_prime_square(n)]
     assert len(levels) == 38 + 134
     for n in levels:
-        sides = _Sides(n)
-        m = next(b for b in count(isqrt(n)) if _admits_bound(n, b, sides))
+        m = next(b for b in count(isqrt(n)) if _admits_bound(n, b))
         assert m_exact_search(n) == m, n
 
 
@@ -311,15 +306,19 @@ def test_characterisations_at_primes_and_prime_squares_to_5000():
 _EXACT_UNDER_512MIB = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
-from gamma0.invariants import m_exact_search
+from itertools import count
+from gamma0.invariants import _admits_bound, m_exact_search
 print(m_exact_search(40))
+print(next(b for b in count(6) if _admits_bound(40, b)))
 """
 
 
 def test_exact_search_memory_grows_with_the_answer():
-    # At composite levels the memo of failed states dominates memory; the
-    # search runs in a child process capped at 512 MiB of address space, so
-    # a regression fails there with MemoryError instead of straining the host.
+    # At composite levels the memo of failed states dominates memory.  The
+    # certified search settles n = 40 without searching (cover = witness =
+    # 20), so the child process also deepens the keyed search from ⌊√40⌋ = 6
+    # until it admits 20.  It runs capped at 512 MiB of address space, so a
+    # regression fails there with MemoryError instead of straining the host.
     pytest.importorskip("resource")
     src = os.path.dirname(os.path.dirname(gamma0.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -329,4 +328,4 @@ def test_exact_search_memory_grows_with_the_answer():
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.split() == ["20"]
+    assert proc.stdout.split() == ["20", "20"]

@@ -175,6 +175,10 @@ def test_cashew_certificate_fixtures():
     ]
     for n in (7, 13, 19, 29, 31, 37):
         assert cashew_certificate(n) is None, n
+    with pytest.raises(ValueError):
+        cashew_certificates(1)
+    with pytest.raises(ValueError):
+        cashew_certificate(1)
 
 
 def test_certificate_window_matches_full_scan():
