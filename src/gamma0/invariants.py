@@ -261,13 +261,17 @@ def m_bounds(n: int) -> tuple[int, bool, int | None]:
     inv = group_invariants(n)
     lower = isqrt(n)
     lower_is_exact = inv.u == totient_summatory(lower)
+    return lower, lower_is_exact, _upper_bound(n)
+
+
+def _upper_bound(n: int) -> int | None:
+    """The upper bound of ``m_bounds``, which needs no invariant of the group."""
     ceiling = isqrt(4 * n // 3)
-    upper: int | None = None
     if prime_or_prime_square(n):
-        upper = ceiling
-    elif (tw := twin_factors(n)) is not None:
-        upper = max(ceiling, tw[1])
-    return lower, lower_is_exact, upper
+        return ceiling
+    if (tw := twin_factors(n)) is not None:
+        return max(ceiling, tw[1])
+    return None
 
 
 def _triangle_names(n: int):

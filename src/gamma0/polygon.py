@@ -190,6 +190,9 @@ def _classify_all(n: int, cusps: tuple[Frac, ...]) -> list[int]:
     Such a partner always lies to its right, so one left-to-right pass
     suffices: each unmatched side waits in a FIFO under its own pairing key,
     and a later side takes the oldest waiting side under its partner key.
+    No two sides of a legal polygon share a key, so the queues hold one side
+    each for every polygon the package builds; they serve cusp lists from
+    outside, whose sides may share one.
     """
     key = _key_function(n)
     m = len(cusps)
@@ -263,17 +266,21 @@ def is_maximal(P: LabeledPolygon) -> bool:
 def _grow(n: int, strategy: str) -> LabeledPolygon:
     """Grow the base triangle until no free side remains.
 
-    Every side is classified the moment it is created, against all coexisting
-    open sides (free sides not yet expanded): pairing is a forced move, since
-    a side satisfying the gluing congruence with a coexisting side can never
-    be expanded.  Open sides sit in a dict under their pairing key, so the
-    candidates are one lookup; when several qualify, any two (A1,B1), (A2,B2)
-    have n | A1*B2 - A2*B1, so a future side gluable to one is gluable to the
-    other and no choice blocks completion.  We glue onto the boundary-leftmost
-    candidate, the new side's sibling included.
+    Every side is classified the moment it is created: even, odd, glued to a
+    coexisting open side (a free side not yet expanded), or left open.
+    Gluing is a forced move, since a side satisfying the gluing congruence
+    with a coexisting side can never be expanded.  The projection to
+    H²/Γ₀(n) is injective on the interior of a legal polygon, so no two of
+    its sides lie in one Γ₀(n)-orbit of oriented edges: they never share a
+    P¹(Z/nZ) point, the pairing key.  Open sides therefore sit in a dict with
+    one node per key, and a new side's only possible partner is the open side
+    under its partner key.  A repeated open key would break that fact, and
+    raises RuntimeError.
 
     Sides live on a singly linked list in boundary order; expanding a side
     turns its node into the left child and links the right child after it.
+    The left child is classified first, so a right child that glues onto its
+    sibling finds it open in the dict.
     ``leftmost`` expands the first open side in boundary order: new sides only
     appear where that side was just subdivided, so one left-to-right cursor
     visits each side once (at composite levels — n=144 is the first — the
@@ -281,73 +288,57 @@ def _grow(n: int, strategy: str) -> LabeledPolygon:
     pair off; they are exact ints throughout).  ``smallest-mediant`` expands
     the open side with the smallest mediant denominator, rightmost on ties,
     taken from a heap whose entries for sides closed in the meantime are
-    skipped.
+    skipped.  The finished cusp list is labelled by ``polygon_from_cusps``,
+    which re-derives every gluing decided here.
     """
     key = _key_function(n)
     den_a = [1]  # exact left denominator
     den_b = [1]  # exact right denominator
     num_l = [0]  # exact left-cusp numerator; num_l/den_a orders the boundary
     nxt = [-1]
-    tags: list[int | None] = [None]  # EVEN, ODD, or the glued side's node
     open_key: list[int | None] = [None]  # pairing key while the side is open
-    open_sides: dict[int, list[int]] = {}
+    open_sides: dict[int, int] = {}  # pairing key -> its one open side
     heap: list[tuple[int, int, int]] = []
 
     def mediant_num(i: int) -> int:
         p = num_l[i]
         return p + (p * den_b[i] + 1) // den_a[i]  # left numerator + right numerator
 
-    def classify(i: int, sibling: int = -1) -> None:
+    def classify(i: int) -> None:
+        """Close side i (even, odd, or glued to an open side) or open it."""
         a = den_a[i] % n
         b = den_b[i] % n
-        if (a * a + b * b) % n == 0:
-            tags[i] = EVEN
+        if (a * a + b * b) % n == 0 or (a * a + a * b + b * b) % n == 0:
             return
-        if (a * a + a * b + b * b) % n == 0:
-            tags[i] = ODD
+        hit = open_sides.pop(key(-b, a), None)
+        if hit is not None:
+            open_key[hit] = None
             return
-        want = key(-b, a)
-        cands = open_sides.get(want, [])
-        if sibling >= 0 and key(den_a[sibling], den_b[sibling]) == want:
-            cands = [*cands, sibling]
-        if not cands:
-            open_key[i] = k = key(a, b)
-            open_sides.setdefault(k, []).append(i)
-            if strategy == "smallest-mediant":
-                heapq.heappush(heap, (den_a[i] + den_b[i], -mediant_num(i), i))
-            return
-        hit = cands[0]
-        for j in cands[1:]:
-            if num_l[j] * den_a[hit] < num_l[hit] * den_a[j]:
-                hit = j
-        if hit != sibling:
-            close(hit)
-        tags[i] = hit
-        tags[hit] = i
-
-    def close(i: int) -> None:
-        open_sides[open_key[i]].remove(i)
-        open_key[i] = None
+        k = key(a, b)
+        if open_sides.setdefault(k, i) != i:
+            raise RuntimeError(f"two open sides share a pairing key at level {n}")
+        open_key[i] = k
+        if strategy == "smallest-mediant":
+            heapq.heappush(heap, (den_a[i] + den_b[i], -mediant_num(i), i))
 
     def expand(i: int) -> None:
         nonlocal budget
         budget -= 1
         if budget < 0:
             raise RuntimeError(f"polygon growth did not terminate at level {n}")
-        close(i)
+        del open_sides[open_key[i]]
+        open_key[i] = None
         a, b = den_a[i], den_b[i]
         right = len(nxt)
         den_a.append(a + b)
         den_b.append(b)
         num_l.append(mediant_num(i))
         nxt.append(nxt[i])
-        tags.append(None)
         open_key.append(None)
         den_b[i] = a + b  # node i becomes the left child
         nxt[i] = right
-        classify(i, sibling=right)
-        if tags[right] is None:
-            classify(right)
+        classify(i)
+        classify(right)  # its sibling is open by now if the two glue
 
     budget = 6 * n + 64  # expansions are bounded by the triangle count u(n)
     classify(0)  # the side from 0/1 to 1/1
@@ -364,24 +355,13 @@ def _grow(n: int, strategy: str) -> LabeledPolygon:
             if open_key[i] is not None:  # else closed by a pairing since pushed
                 expand(i)
 
-    # Walk the boundary; pairs are numbered 2, 3, ... by their left member.
-    cusps, labels = [INF], [VERTICAL]
-    pair_index: dict[int, int] = {}  # right member's node -> its pair's label
-    next_index = 2
+    cusps = [INF]
     i = 0
     while i != -1:
         cusps.append(Frac(num_l[i], den_a[i]))
-        tag = tags[i]
-        if tag < 0:
-            labels.append(tag)
-        elif i in pair_index:
-            labels.append(pair_index.pop(i))
-        else:
-            pair_index[tag] = next_index
-            labels.append(next_index)
-            next_index += 1
         i = nxt[i]
-    return LabeledPolygon(n, tuple(cusps) + (ONE,), tuple(labels) + (VERTICAL,))
+    cusps.append(ONE)
+    return polygon_from_cusps(n, cusps)
 
 
 GROWTH_STRATEGIES = ("leftmost", "smallest-mediant")

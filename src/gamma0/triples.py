@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .farey import Frac, farey_sequence
-from .invariants import group_invariants, m_bounds, prime_or_prime_square, twin_factors
+from .invariants import _upper_bound, group_invariants, prime_or_prime_square, twin_factors
 from .polygon import LabeledPolygon, is_maximal, polygon_from_cusps
 
 
@@ -324,7 +324,7 @@ def _resolved(n: int, splits: dict[Pair, int]) -> LabeledPolygon:
     P = polygon_from_cusps(n, cusps)
     assert is_maximal(P), f"construction left free sides at n={n}"
     assert len(P) == group_invariants(n).u + 2, f"triangle count is not u(n) at n={n}"
-    bound = m_bounds(n)[2]
+    bound = _upper_bound(n)
     assert P.max_denominator() <= bound, f"denominator bound {bound} broken at n={n}"
     return P
 

@@ -1,5 +1,7 @@
 """Labeled polygons: classification, growth to maximality, side pairings."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import pytest
 import gamma0
 import gamma0.polygon as polygon_module
 from gamma0.farey import INF, ONE, ZERO, Frac, farey_sequence, mediant
-from gamma0.invariants import group_invariants, prime_or_prime_square, twin_factors
+from gamma0.invariants import _key_function, group_invariants, prime_or_prime_square, twin_factors
 from gamma0.polygon import (
     EVEN,
     FREE,
@@ -225,6 +227,59 @@ def test_grow_maximal_validates_arguments():
 def test_growth_strategies_agree_on_triangle_count(n):
     sizes = {len(grow_maximal(n, s)) for s in GROWTH_STRATEGIES}
     assert len(sizes) == 1
+
+
+def test_growth_outputs_match_their_recorded_digest():
+    # sha256 of every grown polygon for n = 2..300 under both strategies; the
+    # fixtures above pin only a few small levels
+    h = hashlib.sha256()
+    for n in range(2, 301):
+        for strategy in GROWTH_STRATEGIES:
+            P = grow_maximal(n, strategy)
+            h.update(json.dumps([n, strategy, [str(c) for c in P.cusps], list(P.labels)]).encode())
+    assert h.hexdigest() == "f7099d07a80de45344bd047bf5cebf10b708f614f711b29caa477b0370266078"
+
+
+@pytest.mark.parametrize("strategy", GROWTH_STRATEGIES)
+@pytest.mark.parametrize("n", [2, 8, 17, 60, 144])
+def test_growth_classifies_once(monkeypatch, strategy, n):
+    calls = []
+    classify_all = polygon_module._classify_all
+
+    def counted(n, cusps):
+        calls.append(n)
+        return classify_all(n, cusps)
+
+    monkeypatch.setattr(polygon_module, "_classify_all", counted)
+    grow_maximal(n, strategy)
+    assert len(calls) == 1
+
+
+def _sides_share_no_pairing_key(P):
+    key = _key_function(P.n)
+    keys = [key(a, b) for a, b in P.side_denominators()]
+    return len(set(keys)) == len(keys)
+
+
+def test_no_two_sides_of_a_maximal_polygon_share_a_pairing_key():
+    # H² → H²/Γ₀(n) is injective on the interior of a legal polygon, so no
+    # two of its sides lie in one orbit of oriented edges, i.e. share a
+    # P¹(Z/nZ) point; growth keeps one open side per key on the strength of this
+    for n in range(2, 401):
+        for strategy in GROWTH_STRATEGIES:
+            assert _sides_share_no_pairing_key(grow_maximal(n, strategy)), (n, strategy)
+        if prime_or_prime_square(n):
+            assert _sides_share_no_pairing_key(build_optimal_polygon(n)), n
+        if (tw := twin_factors(n)) is not None:
+            assert _sides_share_no_pairing_key(build_twin_polygon(*tw)), n
+
+
+def test_growth_refuses_a_repeated_open_key(monkeypatch):
+    # a key under which no side ever finds a partner: the second open side
+    # would overwrite the first, and growth must say so instead
+    monkeypatch.setattr(polygon_module, "_key_function", lambda n: lambda a, b: int(a > 0))
+    with pytest.raises(RuntimeError, match="share a pairing key"):
+        grow_maximal(11)
 
 
 @pytest.mark.parametrize("n", [144, 1024])

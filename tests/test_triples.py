@@ -6,7 +6,9 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gamma0.invariants
 import gamma0.polygon
+import gamma0.triples
 from gamma0.farey import farey_sequence
 from gamma0.invariants import (
     group_invariants,
@@ -273,6 +275,23 @@ def test_builds_classify_once(monkeypatch, build, args):
         return classify_all(n, cusps)
 
     monkeypatch.setattr(gamma0.polygon, "_classify_all", counted)
+    build(*args)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "build,args", [(build_optimal_polygon, (7741,)), (build_twin_polygon, (11, 13))]
+)
+def test_builds_evaluate_the_invariants_once(monkeypatch, build, args):
+    calls = []
+    invariants_of = gamma0.invariants.group_invariants
+
+    def counted(n):
+        calls.append(n)
+        return invariants_of(n)
+
+    monkeypatch.setattr(gamma0.invariants, "group_invariants", counted)
+    monkeypatch.setattr(gamma0.triples, "group_invariants", counted)
     build(*args)
     assert len(calls) == 1
 
