@@ -40,6 +40,7 @@ from .triples import (
     cashew_certificate,
     cashew_certificates,
     triple_count,
+    triple_counts,
 )
 
 _PAIR_PALETTE = (
@@ -275,15 +276,18 @@ def _cmd_cashew(args) -> int:
     return 0
 
 
-def _sweep_row(task: tuple[int, int | None]) -> dict:
-    n, exact_budget = task
+_SWEEP_CHUNK = 32
+
+
+def _sweep_row(n: int, exact_budget: int | None, k: int | None) -> dict:
+    """One level's row; k(n) is counted here when the batch did not supply it."""
     row: dict = {"n": n}
     try:
         inv = group_invariants(n)
         row.update(inv.to_json())
         lower, lower_is_exact, upper = m_bounds(n)
         row["phi_sqrt"] = totient_summatory(isqrt(n))
-        row["k"] = triple_count(n)
+        row["k"] = triple_count(n) if k is None else k
         row["lower"] = lower
         row["lower_is_exact"] = lower_is_exact
         row["upper"] = upper
@@ -294,6 +298,21 @@ def _sweep_row(task: tuple[int, int | None]) -> dict:
     except Exception as exc:  # report the level, keep the sweep alive
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
+
+
+def _sweep_chunk(task: tuple[list[int], int | None]) -> list[dict]:
+    """Rows for a run of levels, with k(n) for all of them from one scan.
+
+    Should the batch raise, each level counts its own k(n), so the error
+    lands on the row of the level that caused it and the others keep their
+    values.
+    """
+    levels, exact_budget = task
+    try:
+        ks = triple_counts(levels)
+    except Exception:
+        ks = [None] * len(levels)
+    return [_sweep_row(n, exact_budget, k) for n, k in zip(levels, ks)]
 
 
 _SWEEP_COLUMNS = (
@@ -322,13 +341,15 @@ def _cmd_sweep(args) -> int:
     if jobs < 1:
         raise ValueError("worker count must be >= 1")
     levels = [n for n in range(args.start, args.end + 1) if _keep(n, args.filter)]
-    tasks = [(n, args.exact_m) for n in levels]
+    tasks = [
+        (levels[i : i + _SWEEP_CHUNK], args.exact_m) for i in range(0, len(levels), _SWEEP_CHUNK)
+    ]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row, tasks, chunksize=32))
+            chunks = list(pool.map(_sweep_chunk, tasks))
     else:
-        rows = [_sweep_row(t) for t in tasks]
-    rows.sort(key=lambda r: r["n"])
+        chunks = [_sweep_chunk(t) for t in tasks]
+    rows = [row for chunk in chunks for row in chunk]
 
     out = open(args.output, "w", encoding="utf-8", newline="") if args.output else sys.stdout
     try:

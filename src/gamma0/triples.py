@@ -22,9 +22,13 @@ enumeration: the canonical triples ((a−b, b), (s, t), ·) of head sum
 
 The enumeration does constant work per candidate.  For a head (a0, b0) of
 sum A the relation a1·A + b1·b0 = n fixes b1 ≡ n·b0⁻¹ (mod A) in [1, A−1],
-so each b0 has one candidate, and with D = A² − n minimality leaves only
-b0 ∈ [⌈D/(A−1)⌉, A − 1 − ⌊D/(A−1)⌋] (see ``_canonical_heads``).  The tests
-keep the plain scans as references.
+so each b0 has one candidate, and with D = A² − n the two minimality
+conditions together leave only the window b0·(A − b0) > D, i.e.
+|2b0 − A| < √(4n − 3A²): about 0.104·n candidate heads per level over all
+A > √n (see ``_head_scan``).  A batch of levels shares one table of
+inverses b0⁻¹ mod A per head sum, so a sweep pays one ``pow`` per (A, b0)
+per batch rather than per level.  The tests keep the plain scans as
+references.
 """
 
 from __future__ import annotations
@@ -60,8 +64,8 @@ class FareyTriple:
         return iter(self.pairs)
 
 
-def _relation_holds(t: FareyTriple, n: int) -> bool:
-    (a0, b0), (a1, b1), (a2, b2) = t.pairs
+def _relation_holds(pairs: tuple[Pair, Pair, Pair], n: int) -> bool:
+    (a0, b0), (a1, b1), (a2, b2) = pairs
     return (
         a1 * a0 + (a1 + b1) * b0 == n
         and a2 * a1 + (a2 + b2) * b1 == n
@@ -76,7 +80,7 @@ def is_farey_triple(t: FareyTriple, n: int) -> bool:
     for a, b in p:
         if a < 1 or b < 1 or gcd(a, b) != 1:
             return False
-    return _relation_holds(t, n)
+    return _relation_holds(p, n)
 
 
 def canonical_rotation(t: FareyTriple) -> FareyTriple:
@@ -169,57 +173,77 @@ def triple_from_free_side(n: int, side: Pair) -> FareyTriple:
     return canonical_rotation(raw)
 
 
-def _canonical_heads(n: int, head_sum: int):
-    """Yield canonical triples of level n whose head sum equals head_sum.
+def _head_scan(levels: list[int], head_sums):
+    """Yield (i, pairs) per canonical triple of levels[i] with head sum in head_sums(levels[i]).
 
     The head (a0, b0) of a canonical triple determines everything.  With
     A = a0 + b0 the relation reads a1·A + b1·b0 = n, so b1 ≡ n·b0⁻¹ (mod A),
     and a2 = A − b1 ≥ 1 puts b1 in [1, A−1]: b1 is that residue, a1 is
     (n − b1·b0)/A, and the completion (a2, b2) = (A − b1, a1 + b1 − a0)
-    follows.  Minimality of the head sum demands a1 + b1 > A and
-    a2 + b2 ≥ A, i.e. a1 ≥ a0.
+    follows.  With D = A² − n, minimality of the head sum demands
+    a1 + b1 > A and a2 + b2 ≥ A, i.e. b1·(A − b0) > D and b0·(A − b1) ≥ D.
+    Together they give b0·(A − b0) > D, which is (2b0 − A)² < 4n − 3A²:
+    if b1 < b0 the first one bounds b0·(A − b0) > b1·(A − b0), otherwise
+    the second one gives b0·(A − b0) ≥ b0·(A − b1) ≥ D, with equality only
+    for b1 = b0 and a1 = a0.  So inside the window no pair repeats: the
+    sums rule out (a1, b1) = (a0, b0) and (a2, b2) = (a1, b1), and
+    (a2, b2) = (a0, b0) would need that equality.
 
-    With D = A² − n these read b1·(A − b0) > D and b0·(A − b1) ≥ D.  As
-    1 ≤ b1 ≤ A−1, they confine b0 to [⌈D/(A−1)⌉, A − 1 − ⌊D/(A−1)⌋] when
-    D > 0 (always, for the head sums > √n that k(n) counts).  Triples come
-    out in ascending b0.
+    Head sums are taken in ascending order and, for each, the levels that
+    use it share one table of inverses over the union of their b0 windows
+    (0 marks a non-unit), so a batch of nearby levels pays one ``pow`` per
+    (A, b0).  For each level, triples come out in ascending (A, b0).
     """
-    A = head_sum
-    lo, hi = 1, A - 1
-    D = A * A - n
-    if D > 0 and A > 1:
-        lo = max(lo, -(-D // (A - 1)))
-        hi -= D // (A - 1)
-    r = n % A
-    for b0 in range(lo, hi + 1):
-        if gcd(A, b0) != 1:
+    by_sum: dict[int, list[int]] = {}
+    for i, n in enumerate(levels):
+        for A in head_sums(n):
+            by_sum.setdefault(A, []).append(i)
+    for A in sorted(by_sum):
+        windows = []
+        for i in by_sum[A]:
+            n = levels[i]
+            E = 4 * n - 3 * A * A
+            if E <= 0 or n % A == 0:  # b0·(A − b0) > D fails, or b1 would be 0
+                continue
+            w = isqrt(E - 1)  # |2b0 − A| ≤ w
+            lo, hi = max(1, (A - w + 1) // 2), min(A - 1, (A + w) // 2)
+            if lo <= hi:
+                windows.append((i, n, lo, hi))
+        if not windows:
             continue
-        b1 = r * pow(b0, -1, A) % A
-        if b1 == 0:
-            continue
-        a1 = (n - b1 * b0) // A
-        a0 = A - b0
-        if a1 < 1 or a1 + b1 <= A:
-            continue
-        a2, b2 = A - b1, a1 + b1 - a0
-        if b2 < 1 or a2 + b2 < A:
-            continue
-        if gcd(a1, b1) != 1 or gcd(a2, b2) != 1:
-            continue
-        pairs = ((a0, b0), (a1, b1), (a2, b2))
-        if len(set(pairs)) != 3:
-            continue
-        t = FareyTriple(pairs)
-        assert _relation_holds(t, n)
-        yield t
+        first = min(lo for _, _, lo, _ in windows)
+        last = max(hi for _, _, _, hi in windows)
+        inverses = [pow(b, -1, A) if gcd(A, b) == 1 else 0 for b in range(first, last + 1)]
+        for i, n, lo, hi in windows:
+            r, D = n % A, A * A - n
+            for b0, inv in zip(range(lo, hi + 1), inverses[lo - first : hi - first + 1]):
+                if not inv:
+                    continue
+                b1 = r * inv % A
+                if b1 * (A - b0) <= D or b0 * (A - b1) < D:
+                    continue
+                a0, a1 = A - b0, (n - b1 * b0) // A
+                a2, b2 = A - b1, a1 + b1 - a0
+                if gcd(a1, b1) != 1 or gcd(a2, b2) != 1:
+                    continue
+                pairs = ((a0, b0), (a1, b1), (a2, b2))
+                assert _relation_holds(pairs, n)
+                yield i, pairs
+
+
+def _free_head_sums(n: int) -> range:
+    """The head sums A > √n of the triples k(n) counts (3A² < 4n always holds)."""
+    return range(isqrt(n) + 1, cashew_ceiling(n) + 1)
 
 
 def _free_side_triples(n: int):
-    """Canonical triples with head sum > √n (3A² < 4n always holds)."""
-    A = isqrt(n) + 1
-    while 3 * A * A < 4 * n:
-        yield from _canonical_heads(n, A)
-        A += 1
+    """Pairs of the canonical triples with head sum > √n."""
+    return (pairs for _, pairs in _head_scan([n], _free_head_sums))
+
+
+def _triples_at(n: int, head_sum: int):
+    """Pairs of the canonical triples with the given head sum."""
+    return (pairs for _, pairs in _head_scan([n], lambda _: (head_sum,)))
 
 
 def canonical_triples(n: int, head_sum: int | None = None) -> list[FareyTriple]:
@@ -231,9 +255,22 @@ def canonical_triples(n: int, head_sum: int | None = None) -> list[FareyTriple]:
     """
     if n < 2:
         raise ValueError("level must be at least 2")
-    if head_sum is not None:
-        return list(_canonical_heads(n, head_sum))
-    return list(_free_side_triples(n))
+    found = _free_side_triples(n) if head_sum is None else _triples_at(n, head_sum)
+    return [FareyTriple(pairs) for pairs in found]
+
+
+def triple_counts(levels: list[int]) -> list[int]:
+    """k(n) for each level, from one scan shared by the whole batch.
+
+    Levels close together share head sums and most of their b0 windows, so
+    a run of them costs little more in modular inverses than one level.
+    """
+    if any(n < 2 for n in levels):
+        raise ValueError("level must be at least 2")
+    counts = [0] * len(levels)
+    for i, _ in _head_scan(levels, _free_head_sums):
+        counts[i] += 1
+    return counts
 
 
 def triple_count(n: int) -> int:
@@ -243,9 +280,7 @@ def triple_count(n: int) -> int:
     F*_⌊√n⌋: u(n) = Φ(⌊√n⌋) + triple_count(n) whenever the free sides of
     the hull all carry triples (primes, prime squares, and more).
     """
-    if n < 2:
-        raise ValueError("level must be at least 2")
-    return sum(1 for _ in _free_side_triples(n))
+    return triple_counts([n])[0]
 
 
 @dataclass(frozen=True)
@@ -280,7 +315,7 @@ def cashew_certificates(n: int) -> list[CashewCertificate]:
     """All certificates, ordered by descending s then ascending t.
 
     They are the canonical triples ((a−b, b), (s, t), ·) with head sum
-    a = ⌊√(4n/3)⌋ and t ≥ b: ``_canonical_heads`` already checks
+    a = ⌊√(4n/3)⌋ and t ≥ b: ``_head_scan`` already checks
     n = s·a + t·b, a > t, s + t > a and b ≥ a − s, and that the triple is
     valid.  The list is empty exactly when no triple attains the ceiling;
     the tests check that against the triple enumeration, and the list
@@ -291,7 +326,7 @@ def cashew_certificates(n: int) -> list[CashewCertificate]:
     a = cashew_ceiling(n)
     certs = [
         CashewCertificate(s=s, t=t, a=a, b=b)
-        for (_, b), (s, t), _ in _canonical_heads(n, a)
+        for (_, b), (s, t), _ in _triples_at(n, a)
         if t >= b
     ]
     return sorted(certs, key=lambda c: (-c.s, c.t))
@@ -312,7 +347,7 @@ def _resolved(n: int, splits: dict[Pair, int]) -> LabeledPolygon:
     maximal, with u(n) triangles and all denominators ≤ the upper bound of
     ``m_bounds``.
     """
-    splits = dict.fromkeys((t.pairs[0] for t in _free_side_triples(n)), 1) | splits
+    splits = dict.fromkeys((pairs[0] for pairs in _free_side_triples(n)), 1) | splits
     seq = farey_sequence(isqrt(n))
     cusps = seq[:2]
     for y in seq[2:]:

@@ -1,6 +1,7 @@
 """CLI behavior: output formats, exit codes, sweep determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import gamma0.triples
 from gamma0.cli import main
 from gamma0.generators import independent_system
 from gamma0.polygon import grow_maximal, polygon_from_json
@@ -202,6 +204,59 @@ def test_sweep_at_benchmark_scale(capsys):
         assert r["error"] == ""
         assert r["k"] == scan_triple_count(r["n"]), r["n"]
         assert r["cashew"] == bool(scan_certificates(r["n"])), r["n"]
+
+
+# sha256 of stdout, as the per-level sweep printed it before k(n) was
+# counted a chunk at a time
+SWEEP_DIGESTS = [
+    (("sweep", "2", "3000"), "79d877bceebfb2c384a835efda903eaf4292191626e1236771fe2d55476923d0"),
+    (
+        ("sweep", "100000", "100255", "--jobs", "2"),
+        "3765c3755c15d5be59a26321da9781020907d47c931668fbc1a9c05851b8d644",
+    ),
+    (
+        ("sweep", "2", "500", "--filter", "primes", "--format", "json"),
+        "4627080512141f76216005654664478ef6d9a6838b833b862da310838441ed9d",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", SWEEP_DIGESTS, ids=[" ".join(a) for a, _ in SWEEP_DIGESTS])
+def test_sweep_output_is_byte_identical(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sweep_jobs_do_not_change_the_bytes(capsys):
+    outs = [run_cli(capsys, "sweep", "100000", "100100", "--jobs", jobs) for jobs in ("1", "2")]
+    assert outs[0] == outs[1]
+
+
+def test_sweep_error_stays_on_its_level(capsys, monkeypatch):
+    # one level of the first chunk fails inside the batched k(n) scan; its
+    # row reports the error and the chunk's other rows keep their values
+    code, out, _ = run_cli(capsys, "sweep", "90", "130", "--format", "json")
+    assert code == 0
+    expected = json.loads(out)
+    head_sums = gamma0.triples._free_head_sums
+
+    def failing(n):
+        if n == 101:
+            raise RuntimeError("injected fault")
+        return head_sums(n)
+
+    monkeypatch.setattr(gamma0.triples, "_free_head_sums", failing)
+    code, out, _ = run_cli(capsys, "sweep", "90", "130", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["n"] for r in rows] == list(range(90, 131))
+    for row, want in zip(rows, expected):
+        if row["n"] == 101:
+            assert row["error"] == "RuntimeError: injected fault"
+            assert "k" not in row
+        else:
+            assert row == want
 
 
 def test_sweep_thread_env_override(capsys, monkeypatch):

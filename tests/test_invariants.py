@@ -283,6 +283,13 @@ def test_cover_bound_and_witness_bracket_the_gap_at_30():
     assert m_exact_search(30, min_bound=16) == 16  # admissible, though not minimal
 
 
+def test_gap_search_stops_at_its_node_cap(monkeypatch):
+    assert m_exact_search(30) == 15
+    monkeypatch.setattr(invariants, "_GAP_SEARCH_NODES", 10)
+    with pytest.raises(SearchExhausted, match=r"n=30 .* 10 nodes.*gap \(c, w\) = \(15, 17\)"):
+        m_exact_search(30)
+
+
 def test_keyed_deepening_equals_the_certified_search():
     # m_exact_search settles these levels without calling _admits_bound, so
     # the keyed search, deepened from ⌊√n⌋ one bound at a time, is checked here

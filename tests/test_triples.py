@@ -32,6 +32,7 @@ from gamma0.triples import (
     complete_triple,
     is_farey_triple,
     triple_count,
+    triple_counts,
     triple_from_free_side,
     twin_eligible,
 )
@@ -126,6 +127,34 @@ def test_head_window_matches_full_scan(n):
 @pytest.mark.parametrize("n", list(range(100000, 100016)) + [1000003])
 def test_triple_count_matches_full_scan(n):
     assert triple_count(n) == scan_triple_count(n)
+
+
+def _blocks(levels, size=32):
+    return [levels[i : i + size] for i in range(0, len(levels), size)]
+
+
+def test_triple_counts_match_the_scan_on_sweep_blocks():
+    for block in _blocks(list(range(2, 3001))):
+        assert triple_counts(block) == [scan_triple_count(n) for n in block], block[0]
+
+
+def test_triple_counts_match_the_scan_on_levels_with_gaps():
+    primes = [n for n in range(2, 3001) if is_prime(n)]
+    assert triple_counts(primes) == [scan_triple_count(n) for n in primes]
+    assert triple_counts([]) == []
+    with pytest.raises(ValueError):
+        triple_counts([5, 1])
+
+
+def test_triple_counts_across_head_sum_edges():
+    # 100489 = 317² moves the least head sum ⌊√n⌋ + 1 up by one inside its
+    # block, and at 100467 = 3·183² the head sum 366 meets 3A² = 4n, which
+    # the window excludes
+    assert 317**2 == 100489 and 3 * 366**2 == 4 * 100467
+    for block in (list(range(100450, 100482)), list(range(100482, 100514))):
+        expected = [scan_triple_count(n) for n in block]
+        assert triple_counts(block) == expected, block[0]
+        assert [triple_count(n) for n in block] == expected, block[0]
 
 
 def test_triple_count_equals_u_minus_phi_on_primes():
