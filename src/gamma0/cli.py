@@ -345,7 +345,7 @@ def _cmd_sweep(args) -> int:
         (levels[i : i + _SWEEP_CHUNK], args.exact_m) for i in range(0, len(levels), _SWEEP_CHUNK)
     ]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             chunks = list(pool.map(_sweep_chunk, tasks))
     else:
         chunks = [_sweep_chunk(t) for t in tasks]

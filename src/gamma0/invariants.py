@@ -23,16 +23,17 @@ that key is checked against the raw congruence n | ac + bd by the property
 test ``test_pairing_key_is_the_gluing_congruence``.
 
 The lower bound ⌊√n⌋ is attained iff u(n) = Φ(⌊√n⌋).  Φ comes from one
-cumulative totient table in plain ints, grown on demand and shared by
-``totient_summatory`` and ``equality_list``; the latter sieves only ψ and v3
-up to its limit and takes ⌊√n⌋ exactly, block by block.
+cumulative totient table in plain ints, grown on demand by
+``totient_summatory``.  ``equality_list`` reads it only up to ⌊√limit⌋: it
+skips the blocks of equal ⌊√n⌋ where a bound on u(n) rules equality out, and
+asks ``m_bounds`` about the levels of the rest.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, compress, count
+from itertools import accumulate, count
 from math import gcd, inf, isqrt
 
 
@@ -214,39 +215,22 @@ def totient_summatory(k: int) -> int:
 
 
 def equality_list(limit: int) -> list[int]:
-    """All n ≤ limit with u(n) = Φ(⌊√n⌋), by sieving ψ and v3 up to limit.
+    """All n ≤ limit with u(n) = Φ(⌊√n⌋), the levels ``m_bounds`` reports exact.
 
     These are exactly the levels where the hull of the Farey sequence F*_⌊√n⌋
     is already a maximal polygon, so the lower bound ⌊√n⌋ for m(Gamma0(n)) is
-    attained.
+    attained.  Few blocks r² ≤ n < (r+1)² can hold one: 3u(n) = ψ(n) − v3(n)
+    with ψ(n) ≥ n + 1 and v3(n) ≤ 2^ω(n) ≤ d(n) ≤ 2√n, so 3u(n) ≥ (√n − 1)²
+    ≥ (r − 1)², and a block with (r − 1)² > 3Φ(r) is skipped whole.  The
+    levels of every other block are tested one by one.
     """
     if limit < 2:
         raise ValueError("limit must be at least 2")
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-
-    # 3u(n) = psi(n) - v3(n), psi multiplicative with psi(p^e) = p^e (1 + 1/p)
-    psi = list(range(limit + 1))
-    v3 = [1] * (limit + 1)
-    v3[9::9] = [0] * (limit // 9)
-    for p in compress(range(limit + 1), sieve):
-        psi[p::p] = [x // p * (p + 1) for x in psi[p::p]]
-        if p % 3 == 2:
-            v3[p::p] = [0] * (limit // p)
-        elif p % 3 == 1:
-            v3[p::p] = [x * 2 for x in v3[p::p]]
-
-    assert all((x - y) % 3 == 0 for x, y in zip(psi[2:], v3[2:]))
-
-    # ⌊√n⌋ = r exactly on the block r² ≤ n < (r+1)².
     out = []
     for r in range(1, isqrt(limit) + 1):
-        lo, hi = max(r * r, 2), min((r + 1) ** 2, limit + 1)
-        three_phi = 3 * totient_summatory(r)
-        out += [n for n, x, y in zip(range(lo, hi), psi[lo:hi], v3[lo:hi]) if x - y == three_phi]
+        if (r - 1) ** 2 <= 3 * totient_summatory(r):
+            block = range(max(r * r, 2), min((r + 1) ** 2, limit + 1))
+            out += [n for n in block if m_bounds(n)[1]]
     return out
 
 
@@ -291,16 +275,19 @@ def _triangle_names(n: int):
                 yield s, min(key(a, b), key(-b, s), key(-s, a))
 
 
-def _cover_bound(n: int, u: int) -> int:
+def _cover_bound(n: int, u: int, budget: float = inf) -> int:
     """c(n) ≤ m(n): the least s at which the triangles with mediant ≤ s meet u orbits.
 
     A maximal polygon holds one triangle from each of the u(n) orbits with
     trivial stabiliser, and every triangle but the base one has its largest
     denominator at its mediant, so no polygon with denominators < c(n) is
-    maximal.
+    maximal.  The walk stops at the first mediant past ``budget``, which is
+    then returned: it is still a lower bound, and already past the budget.
     """
     seen = set()
     for s, name in _triangle_names(n):
+        if s > budget:
+            return s
         seen.add(name)
         if len(seen) == u:
             return s
@@ -453,7 +440,7 @@ def m_exact_search(n: int, max_bound: int | None = None, min_bound: int | None =
         # A budget below the smallest admissible bound is just exhaustion.
         raise SearchExhausted(exhausted)
     u = group_invariants(n).u
-    lo = max(lo, _cover_bound(n, u))
+    lo = max(lo, _cover_bound(n, u, budget))
     if lo > budget:
         raise SearchExhausted(exhausted)
     w = _witness_bound(n, u)

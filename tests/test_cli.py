@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import gamma0.cli
 import gamma0.triples
 from gamma0.cli import main
 from gamma0.generators import independent_system
@@ -152,6 +153,22 @@ def test_bounds_exact_budget_exhaustion(capsys):
     assert "no maximal polygon" in err
 
 
+# sha256 over (exit code, stdout, stderr) of each request in turn, recorded
+# before the cover walk stopped at the --max-bound budget
+EXACT_REQUESTS = [("bounds", str(n), "--exact", "--json") for n in range(2, 201)] + [
+    ("bounds", str(n), "--exact", "--max-bound", str(b), "--json")
+    for n, b in ((30, 14), (30, 15), (30, 16), (41, 6), (173, 12), (1500, 40), (3003, 60))
+]
+EXACT_DIGEST = "28903d0ad3468e086bdcd72aad4681c20c2d0c75dcac92fef71914ae30162677"
+
+
+def test_bounds_exact_output_is_byte_identical(capsys):
+    digest = hashlib.sha256()
+    for argv in EXACT_REQUESTS:
+        digest.update(repr(run_cli(capsys, *argv)).encode())
+    assert digest.hexdigest() == EXACT_DIGEST
+
+
 def test_bounds_max_bound_needs_exact(capsys):
     code, out, err = run_cli(capsys, "bounds", "41", "--max-bound", "6")
     assert code == 2
@@ -218,6 +235,11 @@ SWEEP_DIGESTS = [
         ("sweep", "2", "500", "--filter", "primes", "--format", "json"),
         "4627080512141f76216005654664478ef6d9a6838b833b862da310838441ed9d",
     ),
+    # recorded before the cover walk stopped at the exact-m budget
+    (
+        ("sweep", "1480", "1500", "--exact-m", "40"),
+        "35c965695720cd03aa617890524b95e697337666a229a010c3bf35354050af66",
+    ),
 ]
 
 
@@ -257,6 +279,29 @@ def test_sweep_error_stays_on_its_level(capsys, monkeypatch):
             assert "k" not in row
         else:
             assert row == want
+
+
+def test_sweep_starts_no_more_workers_than_chunks(capsys, monkeypatch):
+    # a stand-in pool records its size and maps in this process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    serial = run_cli(capsys, "sweep", "2", "100")
+    monkeypatch.setattr(gamma0.cli, "ProcessPoolExecutor", SerialPool)
+    assert run_cli(capsys, "sweep", "2", "100", "--jobs", "64") == serial
+    assert sizes == [4]  # 99 levels make 4 chunks of at most 32
 
 
 def test_sweep_thread_env_override(capsys, monkeypatch):

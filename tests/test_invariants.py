@@ -8,6 +8,7 @@ for the index, and triangle counting on grown polygons for u(n).
 import os
 import subprocess
 import sys
+import time
 from itertools import count, takewhile
 from math import gcd, isqrt
 
@@ -184,11 +185,24 @@ def test_equality_list_prefixes():
 
 
 def test_equality_list_definition_spot_check():
-    # membership really means u(n) = totient_summatory(isqrt(n))
-    members = set(equality_list(300))
-    for n in range(2, 300):
-        expected = group_invariants(n).u == totient_summatory(isqrt(n))
-        assert (n in members) == expected, n
+    # membership really means u(n) = totient_summatory(isqrt(n)); the range
+    # takes in the blocks r = 38 … 141, which the block bound skips
+    want = [n for n in range(2, 20001) if group_invariants(n).u == totient_summatory(isqrt(n))]
+    assert equality_list(20000) == want
+
+
+def test_block_bound_on_the_triangle_count():
+    # 3u(n) = ψ(n) − v3(n) ≥ (√n − 1)²: equality_list skips a block r² ≤ n <
+    # (r+1)² whole when (r − 1)² > 3Φ(r)
+    for n in range(2, 20001):
+        assert 3 * group_invariants(n).u >= (isqrt(n) - 1) ** 2, n
+
+
+def test_equality_list_at_ten_to_the_ten():
+    t0 = time.perf_counter()
+    assert equality_list(10**10) == EQUALITY_LEVELS
+    dt = time.perf_counter() - t0
+    assert dt < 10, f"equality_list(10**10) took {dt:.1f}s"
 
 
 # --- bounds and the exact search ---
@@ -281,6 +295,18 @@ def test_cover_bound_and_witness_bracket_the_gap_at_30():
     assert m_exact_search(30) == 15
     assert m_exact_search(30, max_bound=15) == 15  # a budget below the witness
     assert m_exact_search(30, min_bound=16) == 16  # admissible, though not minimal
+
+
+def test_budget_stops_the_cover_walk():
+    # the cover bound at 6000 is far past 100; the walk stops at the budget
+    # instead of pairing every triangle up to it
+    t0 = time.perf_counter()
+    message = r"^no maximal polygon for n=6000 with denominators <= 100$"
+    with pytest.raises(SearchExhausted, match=message):
+        m_exact_search(6000, max_bound=100)
+    dt = time.perf_counter() - t0
+    assert dt < 2, f"exhaustion at n=6000 took {dt:.1f}s"
+    assert _cover_bound(6000, group_invariants(6000).u, 100) == 101
 
 
 def test_gap_search_stops_at_its_node_cap(monkeypatch):
