@@ -13,14 +13,19 @@ The lower one is a count: a maximal polygon holds one Farey triangle from
 each of the u(n) orbits with trivial stabiliser, and each triangle but the
 base one has its largest denominator at its mediant, so the least mediant
 bound c(n) at which the triangles meet all u(n) orbits is a lower bound.
+A second lower bound is the cusp divisor: Γ₀(n) preserves gcd(y, n) for a
+cusp x/y and every cusp class is a vertex of every maximal polygon, so the
+class with gcd(y, n) = n/p, p the least prime of n, gives d(n) = n/p ≤ m.
 The upper one is a witness: the optimal, twin or smallest-mediant polygon,
 checked here to be maximal with u(n) + 2 cusps, whose largest denominator w
-is admissible.  Only when c(n) < w does the exhaustive bounded search run,
-on the bounds in that gap; outside it, the search stays the tests' oracle
-for the certified value.  Triangle names and the search both use the
-P¹(Z/nZ) pairing key of ``polygon`` (``_key_function``, defined here), and
-that key is checked against the raw congruence n | ac + bd by the property
-test ``test_pairing_key_is_the_gluing_congruence``.
+is admissible.  Where w meets d(n), as at most composite levels, m is
+certified in the time of one witness build; otherwise the cover walk runs,
+and only when c(n) < w does the exhaustive bounded search run, on the
+bounds in that gap; outside it, the search stays the tests' oracle for the
+certified value.  Triangle names and the search both use the P¹(Z/nZ)
+pairing key of ``polygon`` (``_key_function``, defined here), and that key
+is checked against the raw congruence n | ac + bd by the property test
+``test_pairing_key_is_the_gluing_congruence``.
 
 The lower bound ⌊√n⌋ is attained iff u(n) = Φ(⌊√n⌋).  Φ comes from one
 cumulative totient table in plain ints, grown on demand by
@@ -293,6 +298,17 @@ def _cover_bound(n: int, u: int, budget: float = inf) -> int:
             return s
 
 
+def _cusp_divisor_bound(n: int) -> int:
+    """d(n) = n/p ≤ m(n), with p the least prime factor of n.
+
+    Γ₀(n) preserves gcd(y, n) for a cusp x/y: the image has denominator
+    cx + dy with n | c and d a unit mod n.  Every cusp class is a vertex of
+    every maximal polygon, and the cusps with gcd(y, n) = n/p have
+    denominators that are positive multiples of n/p.
+    """
+    return n // min(factorize(n))
+
+
 def _witness_bound(n: int, u: int) -> int:
     """The largest denominator of a maximal polygon, checked here: m(n) ≤ it.
 
@@ -419,31 +435,42 @@ def _admits_bound(n: int, bound: int) -> bool:
 def m_exact_search(n: int, max_bound: int | None = None, min_bound: int | None = None) -> int:
     """Exact m(Gamma0(n)): the first admissible denominator bound ≥ min_bound.
 
-    Two proofs bracket m.  The cover bound c(n) ≤ m rules out every smaller
-    bound, and a checked witness polygon with largest denominator w admits
-    w.  The search starts at lo = max(min_bound, c(n)), where min_bound
-    defaults to ⌊√n⌋ (pass min_bound=1 to prove the lower bound from the
-    cover alone).  When lo ≥ w, lo is the answer.  Otherwise
-    ``_admits_bound`` deepens over lo … w − 1 and w is the answer if no
-    bound in that gap is admitted.  SearchExhausted is raised when the
-    answer would exceed max_bound, or when the search of one bound in the gap
-    passes its node cap; that message names the gap (c, w).
+    Proofs bracket m.  The cusp-divisor bound d(n) ≤ m and the cover bound
+    c(n) ≤ m rule out every smaller bound, and a checked witness polygon
+    with largest denominator w admits w.  The search starts at
+    lo = max(min_bound, d(n), c(n)), where min_bound defaults to ⌊√n⌋ (pass
+    min_bound=1 to prove the lower bound from d and the cover alone).  When
+    d(n) > ⌊√n⌋ the witness is built first, and if lo = max(min_bound, d(n))
+    already meets it the cover walk, quadratic in c(n), is skipped.  When
+    lo ≥ w, lo is the answer.  Otherwise ``_admits_bound`` deepens over
+    lo … w − 1 and w is the answer if no bound in that gap is admitted.
+    SearchExhausted is raised when the answer would exceed max_bound, or
+    when the search of one bound in the gap passes its node cap; that
+    message names the gap (c, w).
     """
     if n < 2:
         raise ValueError("level must be at least 2")
     lo = isqrt(n) if min_bound is None else min_bound
     if lo < 1:
         raise ValueError("min_bound must be positive")
+    d = _cusp_divisor_bound(n)
+    lo = max(lo, d)
     budget = inf if max_bound is None else max_bound
     exhausted = f"no maximal polygon for n={n} with denominators <= {max_bound}"
     if lo > budget:
         # A budget below the smallest admissible bound is just exhaustion.
         raise SearchExhausted(exhausted)
     u = group_invariants(n).u
+    w = None
+    if d > isqrt(n):
+        w = _witness_bound(n, u)
+        if lo >= w:
+            return lo
     lo = max(lo, _cover_bound(n, u, budget))
     if lo > budget:
         raise SearchExhausted(exhausted)
-    w = _witness_bound(n, u)
+    if w is None:
+        w = _witness_bound(n, u)
     if lo >= w:
         return lo
     for bound in range(lo, min(w, budget + 1)):

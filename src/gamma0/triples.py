@@ -24,11 +24,13 @@ The enumeration does constant work per candidate.  For a head (a0, b0) of
 sum A the relation a1·A + b1·b0 = n fixes b1 ≡ n·b0⁻¹ (mod A) in [1, A−1],
 so each b0 has one candidate, and with D = A² − n the two minimality
 conditions together leave only the window b0·(A − b0) > D, i.e.
-|2b0 − A| < √(4n − 3A²): about 0.104·n candidate heads per level over all
-A > √n (see ``_head_scan``).  A batch of levels shares one table of
-inverses b0⁻¹ mod A per head sum, so a sweep pays one ``pow`` per (A, b0)
-per batch rather than per level.  The tests keep the plain scans as
-references.
+|2b0 − A| < √(4n − 3A²).  The reflection z ↦ 1 − z̄ normalises Γ₀(n) and
+maps the head b0 to A − b0, so one inverse serves a triple and its mirror
+and only the lower half of the window is scanned: about 0.052·n candidate
+heads per level over all A > √n (see ``_head_scan``).  A batch of levels
+shares one table of inverses b0⁻¹ mod A per head sum, so a sweep pays one
+``pow`` per (A, b0) per batch rather than per level.  The tests keep the
+plain scans as references.
 """
 
 from __future__ import annotations
@@ -174,31 +176,45 @@ def triple_from_free_side(n: int, side: Pair) -> FareyTriple:
 
 
 def _head_scan(levels: list[int], head_sums):
-    """Yield (i, pairs) per canonical triple of levels[i] with head sum in head_sums(levels[i]).
+    """Yield (i, triples) per head sum A of levels[i] in head_sums(levels[i]).
 
-    The head (a0, b0) of a canonical triple determines everything.  With
-    A = a0 + b0 the relation reads a1·A + b1·b0 = n, so b1 ≡ n·b0⁻¹ (mod A),
-    and a2 = A − b1 ≥ 1 puts b1 in [1, A−1]: b1 is that residue, a1 is
-    (n − b1·b0)/A, and the completion (a2, b2) = (A − b1, a1 + b1 − a0)
-    follows.  With D = A² − n, minimality of the head sum demands
-    a1 + b1 > A and a2 + b2 ≥ A, i.e. b1·(A − b0) > D and b0·(A − b1) ≥ D.
-    Together they give b0·(A − b0) > D, which is (2b0 − A)² < 4n − 3A²:
-    if b1 < b0 the first one bounds b0·(A − b0) > b1·(A − b0), otherwise
-    the second one gives b0·(A − b0) ≥ b0·(A − b1) ≥ D, with equality only
-    for b1 = b0 and a1 = a0.  So inside the window no pair repeats: the
-    sums rule out (a1, b1) = (a0, b0) and (a2, b2) = (a1, b1), and
-    (a2, b2) = (a0, b0) would need that equality.
+    ``triples`` lists the pairs of the canonical triples of levels[i] with
+    head sum A, in ascending b0.  The head (a0, b0) of a canonical triple
+    determines everything.  With A = a0 + b0 the relation reads
+    a1·A + b1·b0 = n, so b1 ≡ n·b0⁻¹ (mod A), and a2 = A − b1 ≥ 1 puts b1 in
+    [1, A−1]: b1 is that residue, a1 is (n − b1·b0)/A, and the completion
+    (a2, b2) = (A − b1, a1 + b1 − a0) follows.  With D = A² − n,
+    X = b1·(A − b0) and Y = b0·(A − b1), minimality of the head sum demands
+    a1 + b1 > A and a2 + b2 ≥ A, i.e. X > D and Y ≥ D.  Together they give
+    b0·(A − b0) > D, which is (2b0 − A)² < 4n − 3A²: if b1 < b0 the first
+    one bounds b0·(A − b0) > X, otherwise the second one gives
+    b0·(A − b0) ≥ Y ≥ D, with equality only for b1 = b0 and a1 = a0.  So
+    inside the window no pair repeats: the sums rule out
+    (a1, b1) = (a0, b0) and (a2, b2) = (a1, b1), and (a2, b2) = (a0, b0)
+    would need that equality.
+
+    The reflection z ↦ 1 − z̄ of the Farey tessellation normalises Γ₀(n) and
+    pairs the heads b0 and A − b0: the mirror head has b1' = A − b1 and
+    a1' = b2, so its triple is ((b0, a0), (b2, a2), (b1, a1)), its two gcd
+    tests are the same ones, and its X and Y trade places.  The window is
+    symmetric about A/2, so only its lower half b0 ≤ ⌊A/2⌋ is scanned, about
+    0.052·n heads per level over all A > √n.  Each b0 yields its own triple
+    when X > D and Y ≥ D, and its mirror's when Y > D and X ≥ D.  The unit
+    b0 = A/2 is its own mirror (only A = 2 has one) and counts once.  Mirrors
+    come in descending b0, so they are listed after the lower half, reversed.
 
     Head sums are taken in ascending order and, for each, the levels that
-    use it share one table of inverses over the union of their b0 windows
-    (0 marks a non-unit), so a batch of nearby levels pays one ``pow`` per
-    (A, b0).  For each level, triples come out in ascending (A, b0).
+    use it share one table of inverses over the union of their lower
+    half-windows (0 marks a non-unit), so a batch of nearby levels pays one
+    ``pow`` per (A, b0).  For each level, triples come out in ascending
+    (A, b0).
     """
     by_sum: dict[int, list[int]] = {}
     for i, n in enumerate(levels):
         for A in head_sums(n):
             by_sum.setdefault(A, []).append(i)
     for A in sorted(by_sum):
+        half = A // 2
         windows = []
         for i in by_sum[A]:
             n = levels[i]
@@ -206,29 +222,37 @@ def _head_scan(levels: list[int], head_sums):
             if E <= 0 or n % A == 0:  # b0·(A − b0) > D fails, or b1 would be 0
                 continue
             w = isqrt(E - 1)  # |2b0 − A| ≤ w
-            lo, hi = max(1, (A - w + 1) // 2), min(A - 1, (A + w) // 2)
-            if lo <= hi:
-                windows.append((i, n, lo, hi))
+            lo = max(1, (A - w + 1) // 2)
+            if lo <= half:
+                windows.append((i, n, lo))
         if not windows:
             continue
-        first = min(lo for _, _, lo, _ in windows)
-        last = max(hi for _, _, _, hi in windows)
-        inverses = [pow(b, -1, A) if gcd(A, b) == 1 else 0 for b in range(first, last + 1)]
-        for i, n, lo, hi in windows:
+        first = min(lo for _, _, lo in windows)
+        inverses = [pow(b, -1, A) if gcd(A, b) == 1 else 0 for b in range(first, half + 1)]
+        for i, n, lo in windows:
             r, D = n % A, A * A - n
-            for b0, inv in zip(range(lo, hi + 1), inverses[lo - first : hi - first + 1]):
+            found, mirrors = [], []
+            for b0, inv in zip(range(lo, half + 1), inverses[lo - first :]):
                 if not inv:
                     continue
                 b1 = r * inv % A
-                if b1 * (A - b0) <= D or b0 * (A - b1) < D:
+                a0, a2 = A - b0, A - b1
+                X, Y = b1 * a0, b0 * a2
+                if X < D or Y < D:
                     continue
-                a0, a1 = A - b0, (n - b1 * b0) // A
-                a2, b2 = A - b1, a1 + b1 - a0
+                a1 = (n - b1 * b0) // A
+                b2 = a1 + b1 - a0
                 if gcd(a1, b1) != 1 or gcd(a2, b2) != 1:
                     continue
-                pairs = ((a0, b0), (a1, b1), (a2, b2))
-                assert _relation_holds(pairs, n)
-                yield i, pairs
+                if X > D:
+                    pairs = ((a0, b0), (a1, b1), (a2, b2))
+                    assert _relation_holds(pairs, n)
+                    found.append(pairs)
+                if Y > D and b0 != a0:
+                    pairs = ((b0, a0), (b2, a2), (b1, a1))
+                    assert _relation_holds(pairs, n)
+                    mirrors.append(pairs)
+            yield i, found + mirrors[::-1]
 
 
 def _free_head_sums(n: int) -> range:
@@ -238,12 +262,12 @@ def _free_head_sums(n: int) -> range:
 
 def _free_side_triples(n: int):
     """Pairs of the canonical triples with head sum > √n."""
-    return (pairs for _, pairs in _head_scan([n], _free_head_sums))
+    return (pairs for _, found in _head_scan([n], _free_head_sums) for pairs in found)
 
 
 def _triples_at(n: int, head_sum: int):
     """Pairs of the canonical triples with the given head sum."""
-    return (pairs for _, pairs in _head_scan([n], lambda _: (head_sum,)))
+    return (pairs for _, found in _head_scan([n], lambda _: (head_sum,)) for pairs in found)
 
 
 def canonical_triples(n: int, head_sum: int | None = None) -> list[FareyTriple]:
@@ -268,8 +292,8 @@ def triple_counts(levels: list[int]) -> list[int]:
     if any(n < 2 for n in levels):
         raise ValueError("level must be at least 2")
     counts = [0] * len(levels)
-    for i, _ in _head_scan(levels, _free_head_sums):
-        counts[i] += 1
+    for i, found in _head_scan(levels, _free_head_sums):
+        counts[i] += len(found)
     return counts
 
 

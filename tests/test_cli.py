@@ -169,6 +169,18 @@ def test_bounds_exact_output_is_byte_identical(capsys):
     assert digest.hexdigest() == EXACT_DIGEST
 
 
+# the same over n = 201..400, recorded before the search started at the
+# cusp-divisor bound n/p
+EXACT_DIGEST_201_400 = "90b27cb339fbc631b18c78860b1c054d1ace4fa5f8355a65f693b4a2b42027c5"
+
+
+def test_bounds_exact_output_from_201_to_400_is_byte_identical(capsys):
+    digest = hashlib.sha256()
+    for n in range(201, 401):
+        digest.update(repr(run_cli(capsys, "bounds", str(n), "--exact", "--json")).encode())
+    assert digest.hexdigest() == EXACT_DIGEST_201_400
+
+
 def test_bounds_max_bound_needs_exact(capsys):
     code, out, err = run_cli(capsys, "bounds", "41", "--max-bound", "6")
     assert code == 2
@@ -239,6 +251,11 @@ SWEEP_DIGESTS = [
     (
         ("sweep", "1480", "1500", "--exact-m", "40"),
         "35c965695720cd03aa617890524b95e697337666a229a010c3bf35354050af66",
+    ),
+    # recorded before the head scan paired each triple with its mirror
+    (
+        ("sweep", "1000000", "1000031"),
+        "a12d01f1f82848fa7073839f5e4c6b30e570d41f9edccc4a821a843cbcea39a6",
     ),
 ]
 

@@ -22,6 +22,7 @@ from gamma0.invariants import (
     SearchExhausted,
     _admits_bound,
     _cover_bound,
+    _cusp_divisor_bound,
     _triangle_names,
     divisors,
     equality_list,
@@ -307,6 +308,25 @@ def test_budget_stops_the_cover_walk():
     dt = time.perf_counter() - t0
     assert dt < 2, f"exhaustion at n=6000 took {dt:.1f}s"
     assert _cover_bound(6000, group_invariants(6000).u, 100) == 101
+
+
+def test_cusp_divisor_bound_stays_under_the_cover_bound():
+    # d(n) = n/p ≤ m(n) is a theorem; below 400 it never exceeds c(n), so
+    # raising the search's start to d changes no certified value there
+    for n in range(2, 401):
+        d = _cusp_divisor_bound(n)
+        assert d == n // min(factorize(n))
+        assert d <= _cover_bound(n, group_invariants(n).u), n
+
+
+@pytest.mark.parametrize("n,m", [(9996, 4998), (10010, 5005)])
+def test_cusp_divisor_bound_certifies_composite_levels_without_the_cover_walk(n, m):
+    # the witness meets d(n) = n/2 here; the cover walk alone would pair
+    # about (3/π²)·(n/2)² triangles
+    t0 = time.perf_counter()
+    assert m_exact_search(n) == m
+    dt = time.perf_counter() - t0
+    assert dt < 5, f"exact m at n={n} took {dt:.1f}s"
 
 
 def test_gap_search_stops_at_its_node_cap(monkeypatch):

@@ -124,6 +124,22 @@ def test_head_window_matches_full_scan(n):
         assert canonical_triples(n, head_sum=A) == scan_heads(n, A), (n, A)
 
 
+def _reflected(t):
+    (a0, b0), (a1, b1), (a2, b2) = t.pairs
+    return canonical_rotation(FareyTriple(((b0, a0), (b2, a2), (b1, a1))))
+
+
+def test_canonical_triples_are_closed_under_the_reflection():
+    # z ↦ 1 − z̄ normalises Γ₀(n) and maps each triple to its mirror with the
+    # same head sum; the boundary cases b1·(A − b0) = A² − n or
+    # b0·(A − b1) = A² − n, where only one of the two is canonical as
+    # scanned, occur thousands of times on this range
+    for n in range(2, 1501):
+        for A in range(1, cashew_ceiling(n) + 1):
+            found = canonical_triples(n, head_sum=A)
+            assert {_reflected(t) for t in found} == set(found), (n, A)
+
+
 @pytest.mark.parametrize("n", list(range(100000, 100016)) + [1000003])
 def test_triple_count_matches_full_scan(n):
     assert triple_count(n) == scan_triple_count(n)
