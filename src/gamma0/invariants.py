@@ -439,10 +439,10 @@ def m_exact_search(n: int, max_bound: int | None = None, min_bound: int | None =
     c(n) ≤ m rule out every smaller bound, and a checked witness polygon
     with largest denominator w admits w.  The search starts at
     lo = max(min_bound, d(n), c(n)), where min_bound defaults to ⌊√n⌋ (pass
-    min_bound=1 to prove the lower bound from d and the cover alone).  When
-    d(n) > ⌊√n⌋ the witness is built first, and if lo = max(min_bound, d(n))
-    already meets it the cover walk, quadratic in c(n), is skipped.  When
-    lo ≥ w, lo is the answer.  Otherwise ``_admits_bound`` deepens over
+    min_bound=1 to prove the lower bound from d and the cover alone).  The
+    witness is built first, and if lo = max(min_bound, d(n)) already meets
+    it the cover walk, quadratic in c(n), is skipped.  When lo ≥ w, lo is
+    the answer.  Otherwise ``_admits_bound`` deepens over
     lo … w − 1 and w is the answer if no bound in that gap is admitted.
     SearchExhausted is raised when the answer would exceed max_bound, or
     when the search of one bound in the gap passes its node cap; that
@@ -461,16 +461,12 @@ def m_exact_search(n: int, max_bound: int | None = None, min_bound: int | None =
         # A budget below the smallest admissible bound is just exhaustion.
         raise SearchExhausted(exhausted)
     u = group_invariants(n).u
-    w = None
-    if d > isqrt(n):
-        w = _witness_bound(n, u)
-        if lo >= w:
-            return lo
+    w = _witness_bound(n, u)
+    if lo >= w:
+        return lo
     lo = max(lo, _cover_bound(n, u, budget))
     if lo > budget:
         raise SearchExhausted(exhausted)
-    if w is None:
-        w = _witness_bound(n, u)
     if lo >= w:
         return lo
     for bound in range(lo, min(w, budget + 1)):

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import time
 from itertools import count, takewhile
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 
 import pytest
 
@@ -299,8 +299,9 @@ def test_cover_bound_and_witness_bracket_the_gap_at_30():
 
 
 def test_budget_stops_the_cover_walk():
-    # the cover bound at 6000 is far past 100; the walk stops at the budget
-    # instead of pairing every triangle up to it
+    # the search stops before the walk, at d(6000) = 3000 > 100; the
+    # walk itself stops at the budget instead of pairing every triangle up
+    # to the cover bound, far past 100
     t0 = time.perf_counter()
     message = r"^no maximal polygon for n=6000 with denominators <= 100$"
     with pytest.raises(SearchExhausted, match=message):
@@ -310,12 +311,28 @@ def test_budget_stops_the_cover_walk():
     assert _cover_bound(6000, group_invariants(6000).u, 100) == 101
 
 
+def test_search_passes_its_budget_to_the_cover_walk(monkeypatch):
+    # at 41, d = 1 and the start ⌊√41⌋ = 6 is the budget, below the witness,
+    # so the walk runs and must stop at the budget
+    budgets = []
+    cover_bound = invariants._cover_bound
+
+    def recording(n, u, budget=inf):
+        budgets.append(budget)
+        return cover_bound(n, u, budget)
+
+    monkeypatch.setattr(invariants, "_cover_bound", recording)
+    with pytest.raises(SearchExhausted):
+        m_exact_search(41, max_bound=6)
+    assert budgets == [6]
+
+
 def test_cusp_divisor_bound_stays_under_the_cover_bound():
     # d(n) = n/p ≤ m(n) is a theorem; below 400 it never exceeds c(n), so
     # raising the search's start to d changes no certified value there
     for n in range(2, 401):
         d = _cusp_divisor_bound(n)
-        assert d == n // min(factorize(n))
+        assert d == max(k for k in range(1, n) if n % k == 0), n
         assert d <= _cover_bound(n, group_invariants(n).u), n
 
 
