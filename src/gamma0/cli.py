@@ -337,22 +337,25 @@ def _cmd_sweep(args) -> int:
     jobs = args.jobs
     env = os.environ.get("GAMMA0_THREADS")
     if env:
-        jobs = int(env)
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ValueError(f"GAMMA0_THREADS must be an integer, not {env!r}") from None
     if jobs < 1:
         raise ValueError("worker count must be >= 1")
     levels = [n for n in range(args.start, args.end + 1) if _keep(n, args.filter)]
     tasks = [
         (levels[i : i + _SWEEP_CHUNK], args.exact_m) for i in range(0, len(levels), _SWEEP_CHUNK)
     ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            chunks = list(pool.map(_sweep_chunk, tasks))
-    else:
-        chunks = [_sweep_chunk(t) for t in tasks]
-    rows = [row for chunk in chunks for row in chunk]
-
+    # open the output first, so a bad path fails before any level is computed
     out = open(args.output, "w", encoding="utf-8", newline="") if args.output else sys.stdout
     try:
+        if jobs > 1 and len(tasks) > 1:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+                chunks = list(pool.map(_sweep_chunk, tasks))
+        else:
+            chunks = [_sweep_chunk(t) for t in tasks]
+        rows = [row for chunk in chunks for row in chunk]
         if args.format == "json":
             json.dump(rows, out, indent=2)
             out.write("\n")

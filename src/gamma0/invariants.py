@@ -18,11 +18,12 @@ cusp x/y and every cusp class is a vertex of every maximal polygon, so the
 class with gcd(y, n) = n/p, p the least prime of n, gives d(n) = n/p ≤ m.
 The upper one is a witness: the optimal, twin or smallest-mediant polygon,
 checked here to be maximal with u(n) + 2 cusps, whose largest denominator w
-is admissible.  Where w meets d(n), as at most composite levels, m is
-certified in the time of one witness build; otherwise the cover walk runs,
-and only when c(n) < w does the exhaustive bounded search run, on the
-bounds in that gap; outside it, the search stays the tests' oracle for the
-certified value.  Triangle names and the search both use the P¹(Z/nZ)
+is admissible.  The search is one ladder: a floor starts at ⌊√n⌋ and d(n),
+the witness is built, the cover walk lifts the floor to c(n) while it is
+below w, and the exhaustive bounded search tries only the bounds left below
+w.  Where w meets d(n), as at most composite levels, that is one witness
+build.  Outside the gap the bounded search serves the tests as an oracle
+for the certified value.  Triangle names and the search both use the P¹(Z/nZ)
 pairing key of ``polygon`` (``_key_function``, defined here), and that key
 is checked against the raw congruence n | ac + bd by the property test
 ``test_pairing_key_is_the_gluing_congruence``.
@@ -435,47 +436,35 @@ def _admits_bound(n: int, bound: int) -> bool:
 def m_exact_search(n: int, max_bound: int | None = None, min_bound: int | None = None) -> int:
     """Exact m(Gamma0(n)): the first admissible denominator bound ≥ min_bound.
 
-    Proofs bracket m.  The cusp-divisor bound d(n) ≤ m and the cover bound
-    c(n) ≤ m rule out every smaller bound, and a checked witness polygon
-    with largest denominator w admits w.  The search starts at
-    lo = max(min_bound, d(n), c(n)), where min_bound defaults to ⌊√n⌋ (pass
-    min_bound=1 to prove the lower bound from d and the cover alone).  The
-    witness is built first, and if lo = max(min_bound, d(n)) already meets
-    it the cover walk, quadratic in c(n), is skipped.  When lo ≥ w, lo is
-    the answer.  Otherwise ``_admits_bound`` deepens over
-    lo … w − 1 and w is the answer if no bound in that gap is admitted.
-    SearchExhausted is raised when the answer would exceed max_bound, or
-    when the search of one bound in the gap passes its node cap; that
-    message names the gap (c, w).
+    One floor climbs to one checked witness.  The floor starts at
+    lo = max(min_bound, d(n)), where min_bound defaults to ⌊√n⌋ (pass
+    min_bound=1 to prove the lower bound from d and the cover alone).  Within
+    the budget, the witness w is built, the cover walk raises lo to c(n) if
+    lo < w, and ``_admits_bound`` tries lo … w − 1; the first bound it
+    admits is the answer, else max(lo, w).  The budget is max_bound: nothing
+    is built once lo exceeds it, the cover walk stops at it, and any answer
+    past it raises SearchExhausted.  So does a search of one bound in the gap
+    that passes its node cap; that message names the gap (c, w).
     """
     if n < 2:
         raise ValueError("level must be at least 2")
     lo = isqrt(n) if min_bound is None else min_bound
     if lo < 1:
         raise ValueError("min_bound must be positive")
-    d = _cusp_divisor_bound(n)
-    lo = max(lo, d)
+    lo = max(lo, _cusp_divisor_bound(n))
     budget = inf if max_bound is None else max_bound
-    exhausted = f"no maximal polygon for n={n} with denominators <= {max_bound}"
-    if lo > budget:
-        # A budget below the smallest admissible bound is just exhaustion.
-        raise SearchExhausted(exhausted)
-    u = group_invariants(n).u
-    w = _witness_bound(n, u)
-    if lo >= w:
-        return lo
-    lo = max(lo, _cover_bound(n, u, budget))
-    if lo > budget:
-        raise SearchExhausted(exhausted)
-    if lo >= w:
-        return lo
-    for bound in range(lo, min(w, budget + 1)):
-        try:
-            admitted = _admits_bound(n, bound)
-        except SearchExhausted as exc:
-            raise SearchExhausted(f"{exc}; m is left in the gap (c, w) = ({lo}, {w})") from None
-        if admitted:
-            return bound
-    if w > budget:
-        raise SearchExhausted(exhausted)
-    return w
+    if lo <= budget:
+        u = group_invariants(n).u
+        w = _witness_bound(n, u)
+        if lo < w:
+            lo = max(lo, _cover_bound(n, u, budget))
+        for bound in range(lo, min(w, budget + 1)):
+            try:
+                admitted = _admits_bound(n, bound)
+            except SearchExhausted as exc:
+                raise SearchExhausted(f"{exc}; m is left in the gap (c, w) = ({lo}, {w})") from None
+            if admitted:
+                return bound
+        if max(lo, w) <= budget:
+            return max(lo, w)
+    raise SearchExhausted(f"no maximal polygon for n={n} with denominators <= {max_bound}")

@@ -51,11 +51,6 @@ R = Mat(0, 1, -1, 1)          # order 3
 T = Mat(1, 1, 0, 1)           # z -> z + 1; equals R^-1 S
 
 
-def constants() -> tuple[Mat, Mat, Mat]:
-    """The standard generators (S, R, T) with T = R^-1 S."""
-    return S, R, T
-
-
 def compose(g: Mat, h: Mat) -> Mat:
     """Matrix product g·h, renormalized."""
     return Mat(

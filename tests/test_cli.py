@@ -170,15 +170,22 @@ def test_bounds_exact_output_is_byte_identical(capsys):
 
 
 # the same over n = 201..400, recorded before the search started at the
-# cusp-divisor bound n/p
+# cusp-divisor bound n/p, and over n = 401..1000, recorded before the exact
+# search was written as one ladder; with EXACT_DIGEST they pin every n ≤ 1000
 EXACT_DIGEST_201_400 = "90b27cb339fbc631b18c78860b1c054d1ace4fa5f8355a65f693b4a2b42027c5"
+EXACT_DIGEST_401_1000 = "4afdda43d303d7399c07a4c6fcf3f9f78e9771bd800ebaad757191010d78780b"
 
 
-def test_bounds_exact_output_from_201_to_400_is_byte_identical(capsys):
+@pytest.mark.parametrize(
+    "levels,expected",
+    [(range(201, 401), EXACT_DIGEST_201_400), (range(401, 1001), EXACT_DIGEST_401_1000)],
+    ids=["201-400", "401-1000"],
+)
+def test_bounds_exact_output_over_a_range_is_byte_identical(capsys, levels, expected):
     digest = hashlib.sha256()
-    for n in range(201, 401):
+    for n in levels:
         digest.update(repr(run_cli(capsys, "bounds", str(n), "--exact", "--json")).encode())
-    assert digest.hexdigest() == EXACT_DIGEST_201_400
+    assert digest.hexdigest() == expected
 
 
 def test_bounds_max_bound_needs_exact(capsys):
@@ -326,6 +333,23 @@ def test_sweep_thread_env_override(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "sweep", "2", "5")
     assert code == 2
     assert "worker count" in err
+    monkeypatch.setenv("GAMMA0_THREADS", "abc")
+    code, out, err = run_cli(capsys, "sweep", "2", "5")
+    assert code == 2
+    assert out == ""
+    assert "GAMMA0_THREADS" in err
+
+
+def test_sweep_opens_its_output_before_any_chunk(capsys, monkeypatch, tmp_path):
+    chunks = []
+    monkeypatch.setattr(gamma0.cli, "_sweep_chunk", chunks.append)
+    missing = tmp_path / "missing" / "x.csv"
+    argv = ("sweep", "100000", "100255", "--jobs", "1", "--output", str(missing))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert str(missing) in err
+    assert chunks == []
 
 
 def test_sweep_filters(capsys):

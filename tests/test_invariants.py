@@ -298,6 +298,16 @@ def test_cover_bound_and_witness_bracket_the_gap_at_30():
     assert m_exact_search(30, min_bound=16) == 16  # admissible, though not minimal
 
 
+def test_witness_is_the_answer_when_the_gap_search_refuses_every_bound(monkeypatch):
+    # below 1500 the gap search admits its first bound, so these exits are
+    # reached only with a search that refuses every bound of the gap (15, 17)
+    monkeypatch.setattr(invariants, "_admits_bound", lambda n, bound: False)
+    assert m_exact_search(30) == 17
+    message = r"^no maximal polygon for n=30 with denominators <= 16$"
+    with pytest.raises(SearchExhausted, match=message):
+        m_exact_search(30, max_bound=16)
+
+
 def test_budget_stops_the_cover_walk():
     # the search stops before the walk, at d(6000) = 3000 > 100; the
     # walk itself stops at the budget instead of pairing every triangle up

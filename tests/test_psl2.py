@@ -14,7 +14,6 @@ from gamma0.psl2 import (
     T,
     act,
     compose,
-    constants,
     edge_transport,
     element_order,
     in_gamma0,
@@ -42,16 +41,15 @@ def test_sign_normalization():
 
 
 def test_standard_generators():
-    s, r, t = constants()
-    assert element_order(s) == 2
-    assert element_order(r) == 3
-    assert element_order(t) == math.inf
+    assert element_order(S) == 2
+    assert element_order(R) == 3
+    assert element_order(T) == math.inf
     assert element_order(I) == 1
     # T = R^-1 S
-    assert compose(inverse(r), s) == t
+    assert compose(inverse(R), S) == T
     # relations: S^2 = R^3 = 1 in PSL(2,Z)
-    assert compose(s, s) == I
-    assert compose(r, compose(r, r)) == I
+    assert compose(S, S) == I
+    assert compose(R, compose(R, R)) == I
 
 
 def test_compose_and_inverse():
