@@ -18,12 +18,21 @@ cusp x/y and every cusp class is a vertex of every maximal polygon, so the
 class with gcd(y, n) = n/p, p the least prime of n, gives d(n) = n/p ≤ m.
 The upper one is a witness: the optimal, twin or smallest-mediant polygon,
 checked here to be maximal with u(n) + 2 cusps, whose largest denominator w
-is admissible.  The search is one ladder: a floor starts at ⌊√n⌋ and d(n),
-the witness is built, the cover walk lifts the floor to c(n) while it is
-below w, and the exhaustive bounded search tries only the bounds left below
-w.  Where w meets d(n), as at most composite levels, that is one witness
-build.  Outside the gap the bounded search serves the tests as an oracle
-for the certified value.  Triangle names and the search both use the P¹(Z/nZ)
+is admissible.  The witness also gives a cheaper lower bound: if the orbit
+of a triangle of the witness with mediant w has no lift of mediant < w,
+the triangles below w miss an orbit, so c(n) ≥ w and m = w.  That orbit is
+three P¹(Z/nZ) points, and a point (1 : t) is hit at x only by y ≡ t·x, so
+the check costs O(w) where the cover walk pairs O(w²) triangles.  At a
+prime or prime square the hull of F*_⌊√n⌋ projects injectively and every
+piece outside it is a cone or a single triangle, so the triangles the
+witness puts on the triple heads are orbits a smaller polygon can miss.
+The search is one ladder: a floor starts at ⌊√n⌋ and d(n), the witness is
+built, and while the floor is below w the orbit check lifts it to w or,
+failing that, the cover walk lifts it to c(n); the exhaustive bounded
+search tries only the bounds left below w.  Where w meets d(n), as at most
+composite levels, that is one witness build, and up to 3000 the orbit check
+settles every other level but n = 30.  Outside the gap the bounded search
+serves the tests as an oracle for the certified value.  Triangle names, the orbit check and the search all use the P¹(Z/nZ)
 pairing key of ``polygon`` (``_key_function``, defined here), and that key
 is checked against the raw congruence n | ac + bd by the property test
 ``test_pairing_key_is_the_gluing_congruence``.
@@ -264,21 +273,31 @@ def _upper_bound(n: int) -> int | None:
     return None
 
 
+def _triangle_keys(key, a: int, b: int) -> tuple[int, int, int]:
+    """The keys of the triangle over side (a, b): the R-orbit naming its Γ₀(n)-orbit.
+
+    The triangle over side (a, b), mediant s = a + b, has the edges (a, b),
+    (−b, s), (−s, a) under R, so its three P¹(Z/nZ) points form one R-orbit,
+    and two triangles lie in one Γ₀(n)-orbit iff their keys meet.
+    """
+    s = a + b
+    return key(a, b), key(-b, s), key(-s, a)
+
+
 def _triangle_names(n: int):
     """Yield (s, name) for the Farey triangles below the side (0, 1), by mediant s.
 
-    The triangle over side (a, b) has the edges (a, b), (−b, a+b), (−a−b, a)
-    under R, so the least of their keys names its Γ₀(n)-orbit.  Triangles
-    fixed by R, where n | a² + ab + b², are skipped; the base triangle
-    (∞, 0, 1) comes first as (a, b) = (0, 1), with s = 1.
+    The least of a triangle's keys names its orbit.  Triangles fixed by R,
+    where n | a² + ab + b², are skipped; the base triangle (∞, 0, 1) comes
+    first as (a, b) = (0, 1), with s = 1.
     """
     key = _key_function(n)
-    yield 1, min(key(0, 1), key(-1, 1), key(-1, 0))
+    yield 1, min(_triangle_keys(key, 0, 1))
     for s in count(2):
         for a in range(1, s):
             b = s - a
             if gcd(a, b) == 1 and (a * a + a * b + b * b) % n:
-                yield s, min(key(a, b), key(-b, s), key(-s, a))
+                yield s, min(_triangle_keys(key, a, b))
 
 
 def _cover_bound(n: int, u: int, budget: float = inf) -> int:
@@ -310,8 +329,44 @@ def _cusp_divisor_bound(n: int) -> int:
     return n // min(factorize(n))
 
 
-def _witness_bound(n: int, u: int) -> int:
-    """The largest denominator of a maximal polygon, checked here: m(n) ≤ it.
+def _orbit_met_below(n: int, a: int, b: int) -> bool:
+    """Does the base triangle or one of mediant < a + b lie in the orbit over (a, b)?
+
+    The triangle over (x, y) lies in it iff key(x, y) is one of the three
+    keys of ``_triangle_keys``.  For gcd(x, n) = 1 that key is the point
+    (x : y) = (1 : y/x), so a target (a', b') with a' a unit mod n is hit
+    only by y ≡ x·b'/a' (mod n): one product per target and x, so the whole
+    check costs O(a + b) where the cover walk pairs O((a + b)²) triangles.
+    The x that share a prime with n, such as x = p at n = p², have their
+    keys compared one y at a time.  So when this returns False for a
+    triangle of a maximal polygon, which lies in one of the u(n) orbits with
+    trivial stabiliser, the triangles of mediant < a + b miss that orbit and
+    c(n) ≥ a + b.
+    """
+    key = _key_function(n)
+    w = a + b
+    targets = _triangle_keys(key, a, b)
+    if not set(targets).isdisjoint(_triangle_keys(key, 0, 1)):
+        return True
+    slopes = [y * pow(x, -1, n) % n for x, y in ((a, b), (-b, w), (-w, a)) if gcd(x, n) == 1]
+    for x in range(1, w - 1):
+        if gcd(x, n) == 1:
+            hit = any(gcd(x, y) == 1 for t in slopes for y in range(t * x % n or n, w - x, n))
+        else:
+            hit = any(gcd(x, y) == 1 and key(x, y) in targets for y in range(1, w - x))
+        if hit:
+            return True
+    return False
+
+
+def _peak_sides(P, w: int):
+    """The sides (a, b) under the cusps of polygon P with denominator w = a + b."""
+    c = P.cusps
+    return ((c[i - 1].den, c[i + 1].den) for i in range(1, len(c) - 1) if c[i].den == w)
+
+
+def _witness_bound(n: int, u: int):
+    """A maximal polygon, checked here, and its largest denominator w: m(n) ≤ w.
 
     The optimal polygon serves primes and prime squares, the twin polygon
     eligible pq, and smallest-mediant growth every other level.
@@ -329,7 +384,7 @@ def _witness_bound(n: int, u: int) -> int:
         raise RuntimeError(f"witness polygon at n={n} has free sides")
     if len(P) != u + 2:
         raise RuntimeError(f"witness polygon at n={n} has {len(P)} cusps, not u(n) + 2 = {u + 2}")
-    return P.max_denominator()
+    return P, P.max_denominator()
 
 
 # Sides the gap search may visit at one bound.  n = 40 at bound 19, the
@@ -439,12 +494,15 @@ def m_exact_search(n: int, max_bound: int | None = None, min_bound: int | None =
     One floor climbs to one checked witness.  The floor starts at
     lo = max(min_bound, d(n)), where min_bound defaults to ⌊√n⌋ (pass
     min_bound=1 to prove the lower bound from d and the cover alone).  Within
-    the budget, the witness w is built, the cover walk raises lo to c(n) if
-    lo < w, and ``_admits_bound`` tries lo … w − 1; the first bound it
-    admits is the answer, else max(lo, w).  The budget is max_bound: nothing
-    is built once lo exceeds it, the cover walk stops at it, and any answer
-    past it raises SearchExhausted.  So does a search of one bound in the gap
-    that passes its node cap; that message names the gap (c, w).
+    the budget, the witness w is built; if lo < w ≤ budget and the orbit of
+    some triangle of the witness at mediant w has no lift below w
+    (``_orbit_met_below``, O(w)), lo rises to w; else, if lo < w, the cover
+    walk raises lo to c(n).  Then ``_admits_bound`` tries lo … w − 1; the
+    first bound it admits is the answer, else max(lo, w).  The budget is
+    max_bound: nothing is built once lo exceeds it, the cover walk stops at
+    it, and any answer past it raises SearchExhausted.  So does a search of
+    one bound in the gap that passes its node cap; that message names the
+    gap (c, w).
     """
     if n < 2:
         raise ValueError("level must be at least 2")
@@ -455,9 +513,12 @@ def m_exact_search(n: int, max_bound: int | None = None, min_bound: int | None =
     budget = inf if max_bound is None else max_bound
     if lo <= budget:
         u = group_invariants(n).u
-        w = _witness_bound(n, u)
+        P, w = _witness_bound(n, u)
         if lo < w:
-            lo = max(lo, _cover_bound(n, u, budget))
+            if w <= budget and not all(_orbit_met_below(n, a, b) for a, b in _peak_sides(P, w)):
+                lo = w
+            else:
+                lo = max(lo, _cover_bound(n, u, budget))
         for bound in range(lo, min(w, budget + 1)):
             try:
                 admitted = _admits_bound(n, bound)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ import gamma0.cli
 import gamma0.triples
 from gamma0.cli import main
 from gamma0.generators import independent_system
+from gamma0.invariants import prime_or_prime_square
 from gamma0.polygon import grow_maximal, polygon_from_json
 from gamma0.triples import build_optimal_polygon, build_twin_polygon
 from triples_reference import scan_certificates, scan_triple_count
@@ -188,6 +190,31 @@ def test_bounds_exact_output_over_a_range_is_byte_identical(capsys, levels, expe
     assert digest.hexdigest() == expected
 
 
+# recorded before the exact search certified m from one witness orbit: every
+# prime and prime square in (1000, 20000], and every n ≤ 1500 at the budgets
+# ⌊√n⌋, ⌊√(4n/3)⌋ − 1 and ⌊√(4n/3)⌋
+EXACT_DIGEST_PRIMES_TO_20000 = "6ec111029f602c2e2527ec8d0bbdec59d77cd2438c4caa2e2e47e1b1df248f31"
+EXACT_DIGEST_BUDGETS_TO_1500 = "bf37c15e457964966470760e37e5e753e1b187eb90368cd36a6c034471fa9686"
+
+
+def test_bounds_exact_output_at_primes_and_prime_squares_is_byte_identical(capsys):
+    digest = hashlib.sha256()
+    for n in range(1001, 20001):
+        if prime_or_prime_square(n):
+            digest.update(repr(run_cli(capsys, "bounds", str(n), "--exact", "--json")).encode())
+    assert digest.hexdigest() == EXACT_DIGEST_PRIMES_TO_20000
+
+
+def test_bounds_exact_output_under_a_budget_is_byte_identical(capsys):
+    digest = hashlib.sha256()
+    for n in range(2, 1501):
+        ceiling = isqrt(4 * n // 3)
+        for b in (isqrt(n), ceiling - 1, ceiling):
+            argv = ("bounds", str(n), "--exact", "--max-bound", str(b), "--json")
+            digest.update(repr(run_cli(capsys, *argv)).encode())
+    assert digest.hexdigest() == EXACT_DIGEST_BUDGETS_TO_1500
+
+
 def test_bounds_max_bound_needs_exact(capsys):
     code, out, err = run_cli(capsys, "bounds", "41", "--max-bound", "6")
     assert code == 2
@@ -263,6 +290,11 @@ SWEEP_DIGESTS = [
     (
         ("sweep", "1000000", "1000031"),
         "a12d01f1f82848fa7073839f5e4c6b30e570d41f9edccc4a821a843cbcea39a6",
+    ),
+    # recorded before the exact search certified m from one witness orbit
+    (
+        ("sweep", "100000", "100015", "--exact-m", "400"),
+        "b965f262a4970d4e16f3a5b4e3eafb5a130a841fa6f7854e241cb5aba314985b",
     ),
 ]
 

@@ -23,7 +23,12 @@ from gamma0.invariants import (
     _admits_bound,
     _cover_bound,
     _cusp_divisor_bound,
+    _key_function,
+    _orbit_met_below,
+    _peak_sides,
+    _triangle_keys,
     _triangle_names,
+    _witness_bound,
     divisors,
     equality_list,
     euler_phi,
@@ -335,6 +340,74 @@ def test_search_passes_its_budget_to_the_cover_walk(monkeypatch):
     with pytest.raises(SearchExhausted):
         m_exact_search(41, max_bound=6)
     assert budgets == [6]
+
+
+def test_orbit_rung_certifies_only_the_cover_bound():
+    # wherever the ladder hands the rung a level (the floor below the
+    # witness), an unmet peak orbit must mean the cover walk reaches w too;
+    # on this range only n = 30 is left to the walk
+    levels = list(range(2, 1001)) + [
+        n for n in range(1001, 5001) if prime_or_prime_square(n) or twin_factors(n)
+    ]
+    undecided = []
+    for n in levels:
+        u = group_invariants(n).u
+        P, w = _witness_bound(n, u)
+        if max(isqrt(n), _cusp_divisor_bound(n)) < w:
+            if all(_orbit_met_below(n, a, b) for a, b in _peak_sides(P, w)):
+                undecided.append(n)
+            else:
+                assert _cover_bound(n, u) == w, n
+    assert undecided == [30]
+
+
+def _walk_names(n, top):
+    """Each triangle (a, b) of mediant ≤ top that the walk names, with its
+    name and the least mediant at which the walk names that orbit."""
+    key = _key_function(n)
+    first = {}
+    for s, name in takewhile(lambda t: t[0] <= top, _triangle_names(n)):
+        first.setdefault(name, s)
+    for s in range(2, top + 1):
+        for a in range(1, s):
+            b = s - a
+            if gcd(a, b) == 1 and (a * a + a * b + b * b) % n:
+                name = min(_triangle_keys(key, a, b))
+                yield a, b, first[name]
+
+
+@pytest.mark.parametrize("n,top", [(7, 9), (12, 14), (30, 32), (36, 20), (49, 20), (121, 16), (143, 17)])
+def test_orbit_rung_agrees_with_the_walk_triangle_by_triangle(n, top):
+    # the rung reports a triangle's orbit met iff the walk names that orbit
+    # at a smaller mediant; the base orbit comes back by mediant n + 1, and
+    # every level here reaches an x that shares a prime with n
+    for a, b, first in _walk_names(n, top):
+        assert _orbit_met_below(n, a, b) == (first < a + b), (n, a, b)
+
+
+def test_orbit_rung_reports_the_gap_at_30_met():
+    # m(30) = 15 < w = 17: every peak orbit of the witness has a lower lift,
+    # and so does the first triangle whose orbit the walk named earlier
+    P, w = _witness_bound(30, group_invariants(30).u)
+    peaks = list(_peak_sides(P, w))
+    assert w == 17 and peaks
+    assert all(_orbit_met_below(30, a, b) for a, b in peaks)
+    a, b = next((a, b) for a, b, first in _walk_names(30, 17) if first < a + b)
+    assert _orbit_met_below(30, a, b)
+
+
+def test_exact_m_at_primes_and_prime_squares_needs_no_cover_walk(monkeypatch):
+    # the rung decides every prime and prime square in [37, 5000]; a walk
+    # there would raise
+    levels = [n for n in range(37, 5001) if prime_or_prime_square(n)]
+    expected = [m_exact_search(n) for n in levels]
+
+    def refuse(n, u, budget=inf):
+        raise AssertionError(f"the cover walk ran at n={n}")
+
+    monkeypatch.setattr(invariants, "_cover_bound", refuse)
+    assert m_exact_search(41) == 7
+    assert [m_exact_search(n) for n in levels] == expected
 
 
 def test_cusp_divisor_bound_stays_under_the_cover_bound():
