@@ -25,12 +25,13 @@ from .farey import Frac
 from .generators import GeneratingSystem, independent_system, verify_system
 from .invariants import (
     SearchExhausted,
+    _lower_bound,
+    _upper_bound,
     group_invariants,
     is_prime,
     m_bounds,
     m_exact_search,
     prime_or_prime_square,
-    totient_summatory,
     twin_factors,
 )
 from .polygon import EVEN, FREE, ODD, VERTICAL, GROWTH_STRATEGIES, LabeledPolygon, grow_maximal
@@ -285,8 +286,9 @@ def _sweep_row(n: int, exact_budget: int | None, k: int | None) -> dict:
     try:
         inv = group_invariants(n)
         row.update(inv.to_json())
-        lower, lower_is_exact, upper = m_bounds(n)
-        row["phi_sqrt"] = totient_summatory(isqrt(n))
+        lower, phi, lower_is_exact = _lower_bound(n, inv.u)
+        upper = _upper_bound(n)
+        row["phi_sqrt"] = phi
         row["k"] = triple_count(n) if k is None else k
         row["lower"] = lower
         row["lower_is_exact"] = lower_is_exact

@@ -257,10 +257,15 @@ def m_bounds(n: int) -> tuple[int, bool, int | None]:
     (⌊√(4n/3)⌋, from the triple construction) or an eligible product of two
     close odd primes (max(⌊√(4n/3)⌋, q)); otherwise None is returned.
     """
-    inv = group_invariants(n)
-    lower = isqrt(n)
-    lower_is_exact = inv.u == totient_summatory(lower)
+    lower, _, lower_is_exact = _lower_bound(n, group_invariants(n).u)
     return lower, lower_is_exact, _upper_bound(n)
+
+
+def _lower_bound(n: int, u: int) -> tuple[int, int, bool]:
+    """(⌊√n⌋, Φ(⌊√n⌋), whether u = u(n) equals it): the lower bound of ``m_bounds``."""
+    lower = isqrt(n)
+    phi = totient_summatory(lower)
+    return lower, phi, u == phi
 
 
 def _upper_bound(n: int) -> int | None:

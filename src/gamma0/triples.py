@@ -28,13 +28,15 @@ conditions together leave only the window b0·(A − b0) > D, i.e.
 maps the head b0 to A − b0, so one inverse serves a triple and its mirror
 and only the lower half of the window is scanned: about 0.052·n candidate
 heads per level over all A > √n (see ``_head_scan``).  A batch of levels
-shares one table of inverses b0⁻¹ mod A per head sum, so a sweep pays one
-``pow`` per (A, b0) per batch rather than per level.  The tests keep the
-plain scans as references.
+shares one table of the units b0 and their inverses b0⁻¹ mod A per head
+sum, so a sweep pays one ``pow`` per unit (A, b0) per batch rather than per
+level.  The scan yields each triple as one flat tuple of its six numbers.
+The tests keep the plain scans as references.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -178,9 +180,10 @@ def triple_from_free_side(n: int, side: Pair) -> FareyTriple:
 def _head_scan(levels: list[int], head_sums):
     """Yield (i, triples) per head sum A of levels[i] in head_sums(levels[i]).
 
-    ``triples`` lists the pairs of the canonical triples of levels[i] with
-    head sum A, in ascending b0.  The head (a0, b0) of a canonical triple
-    determines everything.  With A = a0 + b0 the relation reads
+    ``triples`` lists the canonical triples of levels[i] with head sum A, in
+    ascending b0, each as one flat tuple (a0, b0, a1, b1, a2, b2); the
+    callers nest or read the fields they need.  The head (a0, b0) of a
+    canonical triple determines everything.  With A = a0 + b0 the relation reads
     a1·A + b1·b0 = n, so b1 ≡ n·b0⁻¹ (mod A), and a2 = A − b1 ≥ 1 puts b1 in
     [1, A−1]: b1 is that residue, a1 is (n − b1·b0)/A, and the completion
     (a2, b2) = (A − b1, a1 + b1 − a0) follows.  With D = A² − n,
@@ -191,23 +194,27 @@ def _head_scan(levels: list[int], head_sums):
     b0·(A − b0) ≥ Y ≥ D, with equality only for b1 = b0 and a1 = a0.  So
     inside the window no pair repeats: the sums rule out
     (a1, b1) = (a0, b0) and (a2, b2) = (a1, b1), and (a2, b2) = (a0, b0)
-    would need that equality.
+    would need that equality.  A head with X ≥ D and Y ≥ D that passes the
+    gcd tests has its three relations asserted once, on its six numbers.
 
     The reflection z ↦ 1 − z̄ of the Farey tessellation normalises Γ₀(n) and
     pairs the heads b0 and A − b0: the mirror head has b1' = A − b1 and
-    a1' = b2, so its triple is ((b0, a0), (b2, a2), (b1, a1)), its two gcd
-    tests are the same ones, and its X and Y trade places.  The window is
-    symmetric about A/2, so only its lower half b0 ≤ ⌊A/2⌋ is scanned, about
-    0.052·n heads per level over all A > √n.  Each b0 yields its own triple
+    a1' = b2, so its triple is (b0, a0, b2, a2, b1, a1), its two gcd tests
+    are the same ones, and its X and Y trade places.  Its three relations
+    are the head's, term for term (its first is the head's third, its second
+    the second, its third the first), so the one assert covers both.  The
+    window is symmetric about A/2, so only its lower half b0 ≤ ⌊A/2⌋ is
+    scanned, about 0.052·n heads per level over all A > √n.  Each b0 yields its own triple
     when X > D and Y ≥ D, and its mirror's when Y > D and X ≥ D.  The unit
     b0 = A/2 is its own mirror (only A = 2 has one) and counts once.  Mirrors
     come in descending b0, so they are listed after the lower half, reversed.
 
     Head sums are taken in ascending order and, for each, the levels that
-    use it share one table of inverses over the union of their lower
-    half-windows (0 marks a non-unit), so a batch of nearby levels pays one
-    ``pow`` per (A, b0).  For each level, triples come out in ascending
-    (A, b0).
+    use it share one table (b0, A − b0, b0⁻¹ mod A) over the units b0 of the
+    union of their lower half-windows, so a batch of nearby levels pays one
+    ``pow`` per unit (A, b0), and each level finds the start of its window
+    in the table by bisection.  For each level, triples come out in
+    ascending (A, b0).
     """
     by_sum: dict[int, list[int]] = {}
     for i, n in enumerate(levels):
@@ -228,30 +235,32 @@ def _head_scan(levels: list[int], head_sums):
         if not windows:
             continue
         first = min(lo for _, _, lo in windows)
-        inverses = [pow(b, -1, A) if gcd(A, b) == 1 else 0 for b in range(first, half + 1)]
+        units = [(b, A - b, pow(b, -1, A)) for b in range(first, half + 1) if gcd(A, b) == 1]
         for i, n, lo in windows:
             r, D = n % A, A * A - n
             found, mirrors = [], []
-            for b0, inv in zip(range(lo, half + 1), inverses[lo - first :]):
-                if not inv:
-                    continue
+            for b0, a0, inv in units[bisect_left(units, (lo,)) :]:
                 b1 = r * inv % A
-                a0, a2 = A - b0, A - b1
-                X, Y = b1 * a0, b0 * a2
-                if X < D or Y < D:
+                X = b1 * a0
+                if X < D:
+                    continue
+                a2 = A - b1
+                Y = b0 * a2
+                if Y < D:
                     continue
                 a1 = (n - b1 * b0) // A
                 b2 = a1 + b1 - a0
                 if gcd(a1, b1) != 1 or gcd(a2, b2) != 1:
                     continue
+                assert (
+                    a1 * a0 + (a1 + b1) * b0 == n
+                    and a2 * a1 + (a2 + b2) * b1 == n
+                    and a0 * a2 + (a0 + b0) * b2 == n
+                ), (n, a0, b0)
                 if X > D:
-                    pairs = ((a0, b0), (a1, b1), (a2, b2))
-                    assert _relation_holds(pairs, n)
-                    found.append(pairs)
+                    found.append((a0, b0, a1, b1, a2, b2))
                 if Y > D and b0 != a0:
-                    pairs = ((b0, a0), (b2, a2), (b1, a1))
-                    assert _relation_holds(pairs, n)
-                    mirrors.append(pairs)
+                    mirrors.append((b0, a0, b2, a2, b1, a1))
             yield i, found + mirrors[::-1]
 
 
@@ -261,13 +270,13 @@ def _free_head_sums(n: int) -> range:
 
 
 def _free_side_triples(n: int):
-    """Pairs of the canonical triples with head sum > √n."""
-    return (pairs for _, found in _head_scan([n], _free_head_sums) for pairs in found)
+    """Flat tuples of the canonical triples with head sum > √n."""
+    return (t for _, found in _head_scan([n], _free_head_sums) for t in found)
 
 
 def _triples_at(n: int, head_sum: int):
-    """Pairs of the canonical triples with the given head sum."""
-    return (pairs for _, found in _head_scan([n], lambda _: (head_sum,)) for pairs in found)
+    """Flat tuples of the canonical triples with the given head sum."""
+    return (t for _, found in _head_scan([n], lambda _: (head_sum,)) for t in found)
 
 
 def canonical_triples(n: int, head_sum: int | None = None) -> list[FareyTriple]:
@@ -280,7 +289,7 @@ def canonical_triples(n: int, head_sum: int | None = None) -> list[FareyTriple]:
     if n < 2:
         raise ValueError("level must be at least 2")
     found = _free_side_triples(n) if head_sum is None else _triples_at(n, head_sum)
-    return [FareyTriple(pairs) for pairs in found]
+    return [FareyTriple(((a0, b0), (a1, b1), (a2, b2))) for a0, b0, a1, b1, a2, b2 in found]
 
 
 def triple_counts(levels: list[int]) -> list[int]:
@@ -350,7 +359,7 @@ def cashew_certificates(n: int) -> list[CashewCertificate]:
     a = cashew_ceiling(n)
     certs = [
         CashewCertificate(s=s, t=t, a=a, b=b)
-        for (_, b), (s, t), _ in _triples_at(n, a)
+        for _, b, s, t, _, _ in _triples_at(n, a)
         if t >= b
     ]
     return sorted(certs, key=lambda c: (-c.s, c.t))
@@ -371,7 +380,7 @@ def _resolved(n: int, splits: dict[Pair, int]) -> LabeledPolygon:
     maximal, with u(n) triangles and all denominators ≤ the upper bound of
     ``m_bounds``.
     """
-    splits = dict.fromkeys((pairs[0] for pairs in _free_side_triples(n)), 1) | splits
+    splits = dict.fromkeys(((t[0], t[1]) for t in _free_side_triples(n)), 1) | splits
     seq = farey_sequence(isqrt(n))
     cusps = seq[:2]
     for y in seq[2:]:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import gamma0.cli
+import gamma0.invariants
 import gamma0.triples
 from gamma0.cli import main
 from gamma0.generators import independent_system
@@ -306,6 +307,23 @@ def test_sweep_output_is_byte_identical(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_sweep_evaluates_the_invariants_once_per_row(capsys, monkeypatch):
+    calls = []
+    invariants_of = gamma0.invariants.group_invariants
+
+    def counted(n):
+        calls.append(n)
+        return invariants_of(n)
+
+    monkeypatch.setattr(gamma0.invariants, "group_invariants", counted)
+    monkeypatch.setattr(gamma0.cli, "group_invariants", counted)
+    code, out, err = run_cli(capsys, "sweep", "2", "200", "--format", "json")
+    assert code == 0, err
+    rows = json.loads(out)
+    assert all(row["error"] == "" for row in rows)
+    assert calls == [row["n"] for row in rows] == list(range(2, 201))
+
+
 def test_sweep_jobs_do_not_change_the_bytes(capsys):
     outs = [run_cli(capsys, "sweep", "100000", "100100", "--jobs", jobs) for jobs in ("1", "2")]
     assert outs[0] == outs[1]
@@ -407,6 +425,25 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "index = 42" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv", [("sweep", "100000", "100063"), ("generators", "4483", "--verify", "--json")]
+)
+def test_optimised_run_prints_the_same_bytes(argv):
+    # python -O strips every assert; the checks must hold no work the
+    # output depends on
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "gamma0", *argv],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0]
 
 
 NO_NUMPY = """

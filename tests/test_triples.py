@@ -22,6 +22,9 @@ from gamma0.triples import (
     CashewCertificate,
     FareyTriple,
     TripleNotApplicable,
+    _free_head_sums,
+    _head_scan,
+    _relation_holds,
     build_optimal_polygon,
     build_twin_polygon,
     canonical_rotation,
@@ -152,6 +155,57 @@ def _blocks(levels, size=32):
 def test_triple_counts_match_the_scan_on_sweep_blocks():
     for block in _blocks(list(range(2, 3001))):
         assert triple_counts(block) == [scan_triple_count(n) for n in block], block[0]
+
+
+def _per_level(levels):
+    """The flat tuples one batched ``_head_scan`` yields, level by level."""
+    out = [[] for _ in levels]
+    for i, found in _head_scan(levels, _free_head_sums):
+        out[i] += found
+    return out
+
+
+def test_batched_scan_yields_the_single_level_lists():
+    blocks = [list(range(100000, 100032)), list(range(100450, 100514))]
+    for block in blocks + _blocks(list(range(2, 3001))):
+        for n, found in zip(block, _per_level(block)):
+            assert found == _per_level([n])[0], n
+            for a0, b0, a1, b1, a2, b2 in found:
+                t = FareyTriple(((a0, b0), (a1, b1), (a2, b2)))
+                assert is_farey_triple(t, n) and t.min_sum() > isqrt(n), (n, t)
+
+
+@st.composite
+def _pairs_and_level(draw):
+    """Arbitrary integers, or a completion with all or some of its relations.
+
+    The completion of ``complete_triple`` satisfies all three relations.
+    Moving (a2, b2) by t·(b1, −(a1 + b1)) keeps the first two and, for
+    t ≠ 0, as a rule breaks the third; a rotation then puts the broken one
+    at any place, which a check that dropped or swapped an equation gets
+    wrong.
+    """
+    ints = st.integers(min_value=-(10**6), max_value=10**6)
+    a0, b0, a1, b1, a2, b2, n = (draw(ints) for _ in range(7))
+    t = None
+    if draw(st.booleans()):
+        t = draw(st.integers(min_value=-3, max_value=3))
+        a2, b2 = a0 + b0 - b1 + t * b1, a1 + b1 - a0 - t * (a1 + b1)
+        n = a1 * (a0 + b0) + b1 * b0
+    pairs = [(a0, b0), (a1, b1), (a2, b2)]
+    r = draw(st.integers(min_value=0, max_value=2))
+    return tuple(pairs[r:] + pairs[:r]), n, t == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs_and_level())
+def test_the_mirror_has_the_same_relations(case):
+    # the mirror's relations are the triple's in the order 3, 2, 1, so one
+    # check of a head covers the triple and its mirror
+    ((a0, b0), (a1, b1), (a2, b2)), n, completed = case
+    holds = _relation_holds(((a0, b0), (a1, b1), (a2, b2)), n)
+    assert holds == _relation_holds(((b0, a0), (b2, a2), (b1, a1)), n)
+    assert holds or not completed
 
 
 def test_triple_counts_match_the_scan_on_levels_with_gaps():
