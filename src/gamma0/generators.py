@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .invariants import group_invariants
-from .polygon import EVEN, ODD, VERTICAL, LabeledPolygon, is_maximal, side_pairing_system
+from .polygon import EVEN, ODD, LabeledPolygon, _side_transport, is_maximal
 from .psl2 import Mat, T, element_order, in_gamma0
 
 
@@ -61,23 +61,27 @@ def independent_system(P: LabeledPolygon) -> GeneratingSystem:
 
     T comes from the two vertical sides; every even or odd side contributes
     its own torsion element; every glued pair contributes the transport of
-    its left member (the right member's matrix is the inverse and is
-    dropped).
+    its left member.  The right member's matrix would be the inverse, so it
+    is never built: each kept matrix is the entry of ``side_pairing_system``
+    for its side, made by the same ``_side_transport``.
     """
     if not is_maximal(P):
         raise ValueError("polygon has free sides; grow it before extracting generators")
     m = len(P.labels)
+    mates = P._mates
     gens = [Generator(T, "translation", None, 0, m - 1)]
-    for i, j, g in side_pairing_system(P):
+    for i in range(1, m - 1):
+        if mates[i] < i:
+            continue  # the right member of a glued pair
+        j, g = _side_transport(P, i)
         lab = P.labels[i]
-        if lab == VERTICAL:
-            continue  # both vertical entries are powers of T, already counted
         if lab == EVEN:
             gens.append(Generator(g, "even", 2, i, i))
         elif lab == ODD:
             gens.append(Generator(g, "odd", 3, i, i))
-        elif j > i:
+        else:
             gens.append(Generator(g, "paired", None, i, j))
+    assert all(in_gamma0(g.matrix, P.n) for g in gens)
     sys = GeneratingSystem(P.n, tuple(gens))
     got = sys.counts()
     want = _free_factor_counts(P.n)

@@ -100,19 +100,29 @@ def _key_function(n: int):
     (the point (1 : b/a)), else q + a·b⁻¹ mod q (the point (a/b : 1)).  The
     coordinates are packed in mixed radix 2q, so two pairs get the same key
     exactly when they are the same point.  Side (c, d) glues to side (a, b)
-    iff ``key(c, d) == key(-b, a)``.  n is factorised once per call here.
+    iff ``key(c, d) == key(-b, a)``.  n is factorised once per closure, and
+    each closure inverts a residue once: a dict per prime power keeps the
+    inverses it has computed, for as long as the closure lives.  The optimal
+    and twin polygons have denominators ≤ ⌊√(4n/3)⌋, so their keys need
+    O(√n) inversions instead of two per side.
     """
-    powers = tuple((p, p**e) for p, e in factorize(n).items())
+    powers = tuple((p, p**e, {}) for p, e in factorize(n).items())
 
     def key(a: int, b: int) -> int:
         out = 0
-        for p, q in powers:
+        for p, q, inverses in powers:
             x = a % q
             y = b % q
             if x % p:
-                c = y * pow(x, -1, q) % q
+                r = inverses.get(x)
+                if r is None:
+                    r = inverses[x] = pow(x, -1, q)
+                c = y * r % q
             else:
-                c = q + x * pow(y, -1, q) % q
+                r = inverses.get(y)
+                if r is None:
+                    r = inverses[y] = pow(y, -1, q)
+                c = q + x * r % q
             out = out * 2 * q + c
         return out
 
@@ -499,15 +509,15 @@ def m_exact_search(n: int, max_bound: int | None = None, min_bound: int | None =
     One floor climbs to one checked witness.  The floor starts at
     lo = max(min_bound, d(n)), where min_bound defaults to ⌊√n⌋ (pass
     min_bound=1 to prove the lower bound from d and the cover alone).  Within
-    the budget, the witness w is built; if lo < w ≤ budget and the orbit of
-    some triangle of the witness at mediant w has no lift below w
-    (``_orbit_met_below``, O(w)), lo rises to w; else, if lo < w, the cover
-    walk raises lo to c(n).  Then ``_admits_bound`` tries lo … w − 1; the
-    first bound it admits is the answer, else max(lo, w).  The budget is
-    max_bound: nothing is built once lo exceeds it, the cover walk stops at
-    it, and any answer past it raises SearchExhausted.  So does a search of
-    one bound in the gap that passes its node cap; that message names the
-    gap (c, w).
+    the budget, the witness w is built; if lo < w and the orbit of some
+    triangle of the witness at mediant w has no lift below w
+    (``_orbit_met_below``, O(w)), lo rises to w, even past the budget;
+    else, if lo < w, the cover walk raises lo to c(n).  Then
+    ``_admits_bound`` tries lo … w − 1; the first bound it admits is the
+    answer, else max(lo, w).  The budget is max_bound: nothing is built once
+    lo exceeds it, the cover walk stops at it, and any answer past it raises
+    SearchExhausted.  So does a search of one bound in the gap that passes
+    its node cap; that message names the gap (c, w).
     """
     if n < 2:
         raise ValueError("level must be at least 2")
@@ -520,7 +530,7 @@ def m_exact_search(n: int, max_bound: int | None = None, min_bound: int | None =
         u = group_invariants(n).u
         P, w = _witness_bound(n, u)
         if lo < w:
-            if w <= budget and not all(_orbit_met_below(n, a, b) for a, b in _peak_sides(P, w)):
+            if not all(_orbit_met_below(n, a, b) for a, b in _peak_sides(P, w)):
                 lo = w
             else:
                 lo = max(lo, _cover_bound(n, u, budget))

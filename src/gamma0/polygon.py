@@ -383,15 +383,12 @@ def grow_maximal(n: int, strategy: str = "leftmost") -> LabeledPolygon:
     return P
 
 
-def side_pairing_system(P: LabeledPolygon) -> list[tuple[int, int, Mat]]:
-    """The full side-pairing rule of a maximal polygon.
+def _side_transport(P: LabeledPolygon, i: int) -> tuple[int, Mat]:
+    """(j, g) for an interior side i of a maximal polygon: g carries side i
+    onto side j reversed (j = i for even and odd sides, where g is the
+    torsion element of the side).
 
-    One entry (i, j, g) per side: g carries side i onto side j reversed
-    (j = i for even and odd sides, where g is the torsion element of the
-    side; the vertical pair is glued by the unit translation).  The set is
-    closed under inverses and lands in Gamma0(n).
-
-    Each transport comes straight from the cusp integers.  For increasing
+    The transport comes straight from the cusp integers.  For increasing
     Farey pairs x₁/y₁ < x₂/y₂ and u₁/v₁ < u₂/v₂, the element sending the
     first to the second reversed (x₁/y₁ ↦ u₂/v₂, x₂/y₂ ↦ u₁/v₁) is
 
@@ -403,25 +400,34 @@ def side_pairing_system(P: LabeledPolygon) -> list[tuple[int, int, Mat]]:
     with the mediant as the source's left cusp.  ``psl2.edge_transport`` is
     the general construction and the tests' reference.
     """
+    c = P.cusps
+    x2, y2 = c[i + 1].num, c[i + 1].den
+    if P.labels[i] == ODD:
+        j = i
+        x1, y1 = c[i].num + x2, c[i].den + y2
+        u1, v1, u2, v2 = c[i].num, c[i].den, x2, y2
+    else:
+        j = P._mates[i]
+        x1, y1 = c[i].num, c[i].den
+        u1, v1, u2, v2 = c[j].num, c[j].den, c[j + 1].num, c[j + 1].den
+    return j, Mat(u2 * y2 + u1 * y1, -u2 * x2 - u1 * x1, v2 * y2 + v1 * y1, -v2 * x2 - v1 * x1)
+
+
+def side_pairing_system(P: LabeledPolygon) -> list[tuple[int, int, Mat]]:
+    """The full side-pairing rule of a maximal polygon.
+
+    One entry (i, j, g) per side: g carries side i onto side j reversed
+    (j = i for even and odd sides, where g is the torsion element of the
+    side; the vertical pair is glued by the unit translation).  The set is
+    closed under inverses and lands in Gamma0(n).  Every interior entry is
+    the closed-form transport of ``_side_transport``, which
+    ``generators.independent_system`` calls only for the sides it keeps.
+    """
     if not is_maximal(P):
         raise ValueError("side pairing is defined for maximal polygons only")
-    c = P.cusps
-    m = len(c)
-    mates = P._mates
+    m = len(P.cusps)
     entries: list[tuple[int, int, Mat]] = [(0, m - 1, T)]
-    for i in range(1, m - 1):
-        lab = P.labels[i]
-        x2, y2 = c[i + 1].num, c[i + 1].den
-        if lab == ODD:
-            j = i
-            x1, y1 = c[i].num + x2, c[i].den + y2
-            u1, v1, u2, v2 = c[i].num, c[i].den, x2, y2
-        else:
-            j = mates[i]
-            x1, y1 = c[i].num, c[i].den
-            u1, v1, u2, v2 = c[j].num, c[j].den, c[j + 1].num, c[j + 1].den
-        g = Mat(u2 * y2 + u1 * y1, -u2 * x2 - u1 * x1, v2 * y2 + v1 * y1, -v2 * x2 - v1 * x1)
-        entries.append((i, j, g))
+    entries += [(i, *_side_transport(P, i)) for i in range(1, m - 1)]
     entries.append((m - 1, 0, inverse(T)))
     assert all(in_gamma0(g, P.n) for _, _, g in entries)
     return entries

@@ -428,11 +428,18 @@ def test_python_dash_m_runs_the_cli():
 
 
 @pytest.mark.parametrize(
-    "argv", [("sweep", "100000", "100063"), ("generators", "4483", "--verify", "--json")]
+    "argv",
+    [
+        ("sweep", "100000", "100063"),
+        ("generators", "4483", "--verify", "--json"),
+        ("generators", "1147", "--verify", "--json"),
+        ("generators", "1000", "--verify", "--json"),
+    ],
 )
 def test_optimised_run_prints_the_same_bytes(argv):
     # python -O strips every assert; the checks must hold no work the
-    # output depends on
+    # output depends on (4483 is a prime, 1147 = 31·37 a twin level, and
+    # 1000 grows its polygon leftmost)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     outs = []
     for flags in ([], ["-O"]):

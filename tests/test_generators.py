@@ -1,7 +1,10 @@
 """Independent generating systems and their verification."""
 
+from sys import modules
+
 import pytest
 
+from gamma0.cli import main
 from gamma0.generators import (
     GeneratingSystem,
     Generator,
@@ -9,8 +12,15 @@ from gamma0.generators import (
     independent_system,
     verify_system,
 )
-from gamma0.invariants import group_invariants
-from gamma0.polygon import base_polygon, grow_maximal
+from gamma0.invariants import group_invariants, prime_or_prime_square, twin_factors
+from gamma0.polygon import (
+    EVEN,
+    GROWTH_STRATEGIES,
+    ODD,
+    base_polygon,
+    grow_maximal,
+    side_pairing_system,
+)
 from gamma0.psl2 import S, T, inverse
 from gamma0.triples import build_optimal_polygon, build_twin_polygon
 
@@ -80,6 +90,46 @@ def test_verify_checks_the_strict_twin_split():
     # q > 2p: the documented 3n entries are still reported
     rep = verify_system(independent_system(build_twin_polygon(3, 7)), twin=(3, 7))
     assert any("[63] outside" in f for f in rep.failures)
+
+
+def assert_system_is_the_kept_pairing(P):
+    # T, then the side_pairing_system entries of every even and odd side and
+    # of the left member of every glued pair
+    kinds = {EVEN: "even", ODD: "odd"}
+    want = [(0, len(P) - 1, T, "translation")] + [
+        (i, j, g, kinds.get(P.labels[i], "paired"))
+        for i, j, g in side_pairing_system(P)[1:-1]
+        if j >= i
+    ]
+    got = [(g.source, g.target, g.matrix, g.kind) for g in independent_system(P).generators]
+    assert got == want, P.n
+
+
+def test_independent_system_keeps_pairing_entries_of_optimal_and_twin_polygons():
+    for n in range(2, 2001):
+        if prime_or_prime_square(n):
+            assert_system_is_the_kept_pairing(build_optimal_polygon(n))
+        elif (tw := twin_factors(n)) is not None:
+            assert_system_is_the_kept_pairing(build_twin_polygon(*tw))
+
+
+@pytest.mark.parametrize("strategy", GROWTH_STRATEGIES)
+def test_independent_system_keeps_pairing_entries_of_grown_polygons(strategy):
+    for n in range(2, 301):
+        assert_system_is_the_kept_pairing(grow_maximal(n, strategy))
+
+
+def test_generators_never_build_the_full_pairing_system(monkeypatch, capsys):
+    # independent_system transports only the sides it keeps
+    def refuse(P):
+        raise AssertionError("side_pairing_system was called")
+
+    for module in [m for name, m in modules.items() if name.split(".")[0] == "gamma0"]:
+        for attr, value in list(vars(module).items()):
+            if value is side_pairing_system:
+                monkeypatch.setattr(module, attr, refuse)
+    assert main(["generators", "4483", "--verify", "--json"]) == 0
+    assert capsys.readouterr().out.endswith("verify: ok (749 generators)\n")
 
 
 def test_verify_flags_missing_translation():

@@ -6,6 +6,7 @@ for the index, and triangle counting on grown polygons for u(n).
 """
 
 import os
+import random
 import subprocess
 import sys
 import time
@@ -107,6 +108,34 @@ def test_twin_factors():
     assert twin_factors(9) is None
     assert twin_factors(105) is None
     assert twin_factors(97) is None
+
+
+@pytest.mark.parametrize("n", [7741, 89**2, 2**4 * 3**2, 89 * 97, 99990])
+def test_one_key_closure_serves_many_pairs(n):
+    # a polygon build or a search asks one closure for every key, so its
+    # memo of inverses meets repeated residues, residues that are not units
+    # (p | a), negative lifts and lifts of more than 100 digits
+    rng = random.Random(n)
+    primes = list(factorize(n))
+    key = _key_function(n)
+    sides = []
+    while len(sides) < 180:
+        a = rng.randrange(1, 40) * rng.choice([1] + primes)
+        b = rng.randrange(1, 40)
+        if gcd(a, b) != 1:
+            continue
+        unit = next(x for x in iter(lambda: rng.randrange(1, n), 0) if gcd(x, n) == 1)
+        lift = rng.randrange(10**100, 10**101) * n
+        sides += [
+            (a, b),
+            (a - lift, b + rng.randrange(-9, 10) * n),  # the same point, lifted
+            ((-unit * b) % n, (unit * a) % n),  # a point glued to it
+        ]
+    for a, b in sides:
+        assert key(a, b) == _key_function(n)(a, b)
+        partner = key(-b, a)
+        for c, d in sides:
+            assert (key(c, d) == partner) == ((a * c + b * d) % n == 0)
 
 
 # --- the six invariants ---
@@ -327,8 +356,11 @@ def test_budget_stops_the_cover_walk():
 
 
 def test_search_passes_its_budget_to_the_cover_walk(monkeypatch):
-    # at 41, d = 1 and the start ⌊√41⌋ = 6 is the budget, below the witness,
-    # so the walk runs and must stop at the budget
+    # the walk runs only where the orbit check fails, and then stops at the
+    # budget: at 30 the floor d = 15 is below the witness 17, whose peak
+    # orbit is met below 17, so the walk gets the budget 16.  At 41 the start
+    # ⌊√41⌋ = 6 is the budget, below the witness 7, and the orbit check alone
+    # lifts the floor past the budget, so the walk is never called
     budgets = []
     cover_bound = invariants._cover_bound
 
@@ -337,9 +369,13 @@ def test_search_passes_its_budget_to_the_cover_walk(monkeypatch):
         return cover_bound(n, u, budget)
 
     monkeypatch.setattr(invariants, "_cover_bound", recording)
-    with pytest.raises(SearchExhausted):
+    assert m_exact_search(30, max_bound=16) == 15
+    assert budgets == [16]
+    budgets.clear()
+    message = r"^no maximal polygon for n=41 with denominators <= 6$"
+    with pytest.raises(SearchExhausted, match=message):
         m_exact_search(41, max_bound=6)
-    assert budgets == [6]
+    assert budgets == []
 
 
 def test_orbit_rung_certifies_only_the_cover_bound():
