@@ -182,8 +182,8 @@ def _cmd_polygon(args) -> int:
 
 
 # One generator of json.dumps(system.to_json(), indent=2): its matrix entries,
-# then its kind and order already JSON-encoded.
-_GENERATOR_JSON = """\
+# then a tail with its kind and order already JSON-encoded.
+_GENERATOR_JSON_HEAD = """\
     {
       "matrix": [
         [
@@ -195,6 +195,8 @@ _GENERATOR_JSON = """\
           %d
         ]
       ],
+"""
+_GENERATOR_JSON_TAIL = """\
       "kind": %s,
       "order": %s
     }"""
@@ -206,11 +208,17 @@ def _system_json(system: GeneratingSystem) -> str:
     The system must hold at least one generator, as every system from
     ``independent_system`` does (T is always there).
     """
-    encode = cache(json.dumps)  # kinds and orders take a handful of values
+    # kinds and orders take a handful of values: one template per pair, its
+    # tail filled in, so a generator costs one % over its matrix entries
+    templates: dict[tuple[str, int | None], str] = {}
     parts = []
     for g in system.generators:
         m = g.matrix
-        parts.append(_GENERATOR_JSON % (m.a, m.b, m.c, m.d, encode(g.kind), encode(g.order)))
+        template = templates.get((g.kind, g.order))
+        if template is None:
+            tail = _GENERATOR_JSON_TAIL % (json.dumps(g.kind), json.dumps(g.order))
+            template = templates[g.kind, g.order] = _GENERATOR_JSON_HEAD + tail.replace("%", "%%")
+        parts.append(template % (m.a, m.b, m.c, m.d))
     body = ",\n".join(parts)
     return f'{{\n  "n": {system.n:d},\n  "generators": [\n{body}\n  ]\n}}'
 

@@ -14,16 +14,23 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Frac:
     """A reduced fraction num/den with den >= 0; infinity is Frac(1, 0).
 
     Use :func:`reduce` (or ``Frac.parse``) instead of calling the constructor
-    with unnormalized values; the constructor trusts its inputs.
+    with unnormalized values; the constructor trusts its inputs and writes
+    each field once, through its slot.  The instance is otherwise an ordinary
+    frozen dataclass (fields num, den; eq and hash on those fields;
+    assignment raises FrozenInstanceError).
     """
 
     num: int
     den: int
+
+    def __init__(self, num: int, den: int):
+        _set_num(self, num)
+        _set_den(self, den)
 
     @property
     def is_infinite(self) -> bool:
@@ -59,6 +66,9 @@ class Frac:
             return reduce(int(p), int(q))
         return reduce(int(s), 1)
 
+
+# the slot descriptors, which write a field past the frozen __setattr__
+_set_num, _set_den = Frac.num.__set__, Frac.den.__set__
 
 INF = Frac(1, 0)
 ZERO = Frac(0, 1)
@@ -111,12 +121,11 @@ def farey_sequence(k: int) -> list[Frac]:
         raise ValueError("farey_sequence needs k >= 1")
     seq = [INF, ZERO]
     a, b, c, d = 0, 1, 1, k
-    while c <= k and d >= 1:
+    while d > 1:  # every term between 0/1 and 1/1 has a denominator ≥ 2
         seq.append(Frac(c, d))
-        if (c, d) == (1, 1):
-            break
         step = (k + b) // d
         a, b, c, d = c, d, step * c - a, step * d - b
+    seq.append(ONE)
     return seq
 
 

@@ -18,13 +18,29 @@ from .polygon import EVEN, ODD, LabeledPolygon, _side_transport, is_maximal
 from .psl2 import Mat, T, element_order, in_gamma0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Generator:
+    """One generator of a system: its matrix, side kind and order, and the
+    source and target sides it joins.
+
+    The constructor writes each field once, straight into the instance
+    ``__dict__``; otherwise this is an ordinary frozen dataclass (eq, hash and
+    repr on the five fields, assignment raises FrozenInstanceError).
+    """
+
     matrix: Mat
     kind: str  # translation | even | odd | paired
     order: int | None  # 2, 3, or None for infinite
     source: int  # index of the side the matrix transports
     target: int
+
+    def __init__(self, matrix: Mat, kind: str, order: int | None, source: int, target: int):
+        fields = self.__dict__
+        fields["matrix"] = matrix
+        fields["kind"] = kind
+        fields["order"] = order
+        fields["source"] = source
+        fields["target"] = target
 
     def to_json(self) -> dict:
         return {"matrix": [list(r) for r in self.matrix.rows()], "kind": self.kind, "order": self.order}
@@ -36,15 +52,9 @@ class GeneratingSystem:
     generators: tuple[Generator, ...]
 
     def counts(self) -> dict[str, int]:
-        by_order = {"order2": 0, "order3": 0, "infinite": 0}
-        for g in self.generators:
-            if g.order == 2:
-                by_order["order2"] += 1
-            elif g.order == 3:
-                by_order["order3"] += 1
-            else:
-                by_order["infinite"] += 1
-        return by_order
+        orders = [g.order for g in self.generators]
+        two, three = orders.count(2), orders.count(3)
+        return {"order2": two, "order3": three, "infinite": len(orders) - two - three}
 
     def to_json(self) -> dict:
         return {"n": self.n, "generators": [g.to_json() for g in self.generators]}
@@ -111,6 +121,10 @@ class VerificationReport:
         }
 
 
+# the order each side kind demands of its generator
+_KIND_ORDER = {"translation": math.inf, "even": 2, "odd": 3, "paired": math.inf}
+
+
 def verify_system(
     sys: GeneratingSystem,
     expect_entry: int | None = None,
@@ -136,7 +150,7 @@ def verify_system(
         if not in_gamma0(m, n):
             rep.fail(f"generator {idx} {m.rows()} is not in Gamma0({n})")
         order = element_order(m)
-        expected = {"translation": math.inf, "even": 2, "odd": 3, "paired": math.inf}[g.kind]
+        expected = _KIND_ORDER[g.kind]
         if order != expected:
             rep.fail(f"generator {idx} has order {order}, kind {g.kind} demands {expected}")
         if g.kind == "translation":
@@ -148,9 +162,10 @@ def verify_system(
             continue
         if abs(m.a + m.d) > c - 2:
             rep.fail(f"generator {idx} breaks the trace bound: |{m.a + m.d}| > {c} - 2")
-        frob = m.a**2 + m.b**2 + m.c**2 + m.d**2
-        if frob >= (2 * c - 1) ** 2:
-            rep.fail(f"generator {idx} breaks the Frobenius bound: {frob} >= {(2 * c - 1) ** 2}")
+        frob = m.a * m.a + m.b * m.b + c * c + m.d * m.d
+        r = 2 * c - 1
+        if frob >= r * r:
+            rep.fail(f"generator {idx} breaks the Frobenius bound: {frob} >= {r * r}")
     # Entries are sign-normalized (c > 0, or c = 0 and a = d = 1), so an
     # inverse's entries are the adjugate's, negated unless c = 0.
     position = {(m.a, m.b, m.c, m.d): i for i, m in enumerate(mats)}

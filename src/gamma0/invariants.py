@@ -381,10 +381,11 @@ def _peak_sides(P, w: int):
 
 
 def _witness_bound(n: int, u: int):
-    """A maximal polygon, checked here, and its largest denominator w: m(n) ≤ w.
+    """A maximal polygon, checked once, and its largest denominator w: m(n) ≤ w.
 
-    The optimal polygon serves primes and prime squares, the twin polygon
-    eligible pq, and smallest-mediant growth every other level.
+    The optimal polygon serves primes and prime squares and the twin polygon
+    eligible pq; both are checked as they are built (``triples._resolved``).
+    Smallest-mediant growth serves every other level and is checked here.
     """
     from .polygon import grow_maximal, is_maximal
     from .triples import build_optimal_polygon, build_twin_polygon
@@ -395,10 +396,10 @@ def _witness_bound(n: int, u: int):
         P = build_twin_polygon(*tw)
     else:
         P = grow_maximal(n, "smallest-mediant")
-    if not is_maximal(P):
-        raise RuntimeError(f"witness polygon at n={n} has free sides")
-    if len(P) != u + 2:
-        raise RuntimeError(f"witness polygon at n={n} has {len(P)} cusps, not u(n) + 2 = {u + 2}")
+        if not is_maximal(P):
+            raise RuntimeError(f"witness polygon at n={n} has free sides")
+        if len(P) != u + 2:
+            raise RuntimeError(f"witness polygon at n={n} has {len(P)} cusps, not u(n) + 2 = {u + 2}")
     return P, P.max_denominator()
 
 
@@ -406,6 +407,12 @@ def _witness_bound(n: int, u: int):
 # largest search the tests run, visits about 2.5·10⁵ in 0.4 s; the memo grows
 # with the visits, at about 100 bytes each.
 _GAP_SEARCH_NODES = 2_000_000
+# Failed branch states the gap search memoises at one bound.  n = 40 at bound
+# 19 keeps 8.4·10⁴ of them (25 MB at its peak, about 300 bytes a state); past
+# the cap the memo stops growing, so memory stays near 75 MB however long
+# the search runs.  A state left out is searched again if met again, which
+# changes no answer, and the node cap still ends the search.
+_GAP_SEARCH_MEMO = 250_000
 
 
 def _admits_bound(n: int, bound: int) -> bool:
@@ -434,7 +441,8 @@ def _admits_bound(n: int, bound: int) -> bool:
     side within the bound could glue onto it.
 
     Every visit to a pending side counts as a node; past
-    ``_GAP_SEARCH_NODES`` of them the search raises SearchExhausted.
+    ``_GAP_SEARCH_NODES`` of them the search raises SearchExhausted.  The
+    memo keeps at most ``_GAP_SEARCH_MEMO`` failed states.
     """
     key = _key_function(n)
     record: dict[tuple[int, int], tuple[bool, int, int]] = {}
@@ -498,7 +506,8 @@ def _admits_bound(n: int, bound: int) -> bool:
                 frames.append((state, None))
                 pending, keys, open_keys = deferral
                 break
-            failed.add(state)
+            if len(failed) < _GAP_SEARCH_MEMO:
+                failed.add(state)
         else:
             return False
 

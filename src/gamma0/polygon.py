@@ -188,30 +188,45 @@ def _classify_all(n: int, cusps: tuple[Frac, ...]) -> list[int]:
     Partners are matched greedily left to right: a free side takes the
     lowest-index free side it glues to (the candidates are interchangeable).
     Such a partner always lies to its right, so one left-to-right pass
-    suffices: each unmatched side waits in a FIFO under its own pairing key,
-    and a later side takes the oldest waiting side under its partner key.
-    No two sides of a legal polygon share a key, so the queues hold one side
-    each for every polygon the package builds; they serve cusp lists from
-    outside, whose sides may share one.
+    suffices: each unmatched side waits under its own pairing key, and a
+    later side takes the oldest side waiting under its partner key.  No two
+    sides of a legal polygon share a key, so every polygon the package builds
+    keeps one side per key in the plain dict ``waiting``.  Cusp lists from
+    outside may have sides that share a key; the later ones queue in FIFO
+    order under that key in ``queued``, and the oldest of them moves up into
+    ``waiting`` when its predecessor is taken.  Each cusp denominator is
+    reduced mod n once, for the two sides that share the cusp.
     """
     key = _key_function(n)
     m = len(cusps)
     labels = [VERTICAL] + [FREE] * (m - 2) + [VERTICAL]
     mate = [0] * m  # mate[i] = right partner of a left member i
-    waiting: dict[int, deque[int]] = {}
+    waiting: dict[int, int] = {}  # pairing key -> the oldest side waiting under it
+    queued: dict[int, deque[int]] = {}  # pairing key -> the later sides under it, oldest first
+    b = 1  # cusps[1] is 0/1
     for i in range(1, m - 1):
-        a = cusps[i].den % n
-        b = cusps[i + 1].den % n
-        if (a * a + b * b) % n == 0:
+        a, b = b, cusps[i + 1].den % n
+        aa_bb = a * a + b * b
+        if aa_bb % n == 0:
             labels[i] = EVEN
-        elif (a * a + a * b + b * b) % n == 0:
+        elif (aa_bb + a * b) % n == 0:
             labels[i] = ODD
         else:
-            queue = waiting.get(key(-b, a))
-            if queue:
-                mate[queue.popleft()] = i
+            k = key(-b, a)
+            j = waiting.pop(k, None)
+            if j is not None:
+                mate[j] = i
+                if queued and k in queued:
+                    later = queued[k]
+                    waiting[k] = later.popleft()
+                    if not later:
+                        del queued[k]
             else:
-                waiting.setdefault(key(a, b), deque()).append(i)
+                k = key(a, b)
+                if k in waiting:
+                    queued.setdefault(k, deque()).append(i)
+                else:
+                    waiting[k] = i
     next_index = 2
     for i, j in enumerate(mate):
         if j:

@@ -18,25 +18,32 @@ from dataclasses import dataclass
 from .farey import Frac, is_farey_pair, reduce
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Mat:
-    """A sign-normalized element of PSL(2, Z)."""
+    """A sign-normalized element of PSL(2, Z).
+
+    ``Mat(a, b, c, d)`` raises ValueError unless ad − bc = 1, then stores the
+    representative with c > 0, or c = 0 and a > 0: ``Mat(-1, -1, 0, -1) ==
+    T``.  Each field is written once, through its slot; the instance is
+    otherwise an ordinary frozen dataclass (fields a, b, c, d; eq, hash and
+    repr on those fields; assignment raises FrozenInstanceError), and
+    ``dataclasses.replace`` goes through the same check.
+    """
 
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError(
-                f"[[{self.a},{self.b}],[{self.c},{self.d}]] has determinant != 1"
-            )
-        if self.c < 0 or (self.c == 0 and self.a < 0):
-            object.__setattr__(self, "a", -self.a)
-            object.__setattr__(self, "b", -self.b)
-            object.__setattr__(self, "c", -self.c)
-            object.__setattr__(self, "d", -self.d)
+    def __init__(self, a: int, b: int, c: int, d: int):
+        if a * d - b * c != 1:
+            raise ValueError(f"[[{a},{b}],[{c},{d}]] has determinant != 1")
+        if c < 0 or (c == 0 and a < 0):
+            a, b, c, d = -a, -b, -c, -d
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
 
     def __str__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
@@ -44,6 +51,9 @@ class Mat:
     def rows(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]
 
+
+# the slot descriptors, which write a field past the frozen __setattr__
+_set_a, _set_b, _set_c, _set_d = Mat.a.__set__, Mat.b.__set__, Mat.c.__set__, Mat.d.__set__
 
 I = Mat(1, 0, 0, 1)
 S = Mat(0, 1, -1, 0)          # z -> -1/z, order 2
@@ -80,13 +90,13 @@ def in_gamma0(g: Mat, n: int) -> bool:
 
 def element_order(g: Mat):
     """Order of g in PSL(2, Z): 1, 2, 3, or math.inf."""
-    if g == I:
-        return 1
     tr = abs(g.a + g.d)
     if tr == 0:
         return 2
     if tr == 1:
         return 3
+    if tr == 2 and g == I:  # I is the one element of order 1, and |tr I| = 2
+        return 1
     return math.inf
 
 

@@ -376,9 +376,10 @@ def _resolved(n: int, splits: dict[Pair, int]) -> LabeledPolygon:
 
     ``splits`` maps a hull side's denominator pair (left, right) to the number
     of mediants it takes, each cut off at the side's left end; the head side
-    of every triple that k(n) counts takes one more.  The result must be
+    of every triple that k(n) counts takes one more.  The result is checked
+    here, also under ``python -O``, and RuntimeError is raised unless it is
     maximal, with u(n) triangles and all denominators ≤ the upper bound of
-    ``m_bounds``.
+    ``m_bounds``; this is the one check of the optimal and twin witnesses.
     """
     splits = dict.fromkeys(((t[0], t[1]) for t in _free_side_triples(n)), 1) | splits
     seq = farey_sequence(isqrt(n))
@@ -390,10 +391,13 @@ def _resolved(n: int, splits: dict[Pair, int]) -> LabeledPolygon:
             cusps += [Frac(j * x.num + y.num, j * x.den + y.den) for j in range(r, 0, -1)]
         cusps.append(y)
     P = polygon_from_cusps(n, cusps)
-    assert is_maximal(P), f"construction left free sides at n={n}"
-    assert len(P) == group_invariants(n).u + 2, f"triangle count is not u(n) at n={n}"
+    if not is_maximal(P):
+        raise RuntimeError(f"construction left free sides at n={n}")
+    if len(P) != group_invariants(n).u + 2:
+        raise RuntimeError(f"triangle count is not u(n) at n={n}")
     bound = _upper_bound(n)
-    assert P.max_denominator() <= bound, f"denominator bound {bound} broken at n={n}"
+    if P.max_denominator() > bound:
+        raise RuntimeError(f"denominator bound {bound} broken at n={n}")
     return P
 
 

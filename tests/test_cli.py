@@ -216,6 +216,25 @@ def test_bounds_exact_output_under_a_budget_is_byte_identical(capsys):
     assert digest.hexdigest() == EXACT_DIGEST_BUDGETS_TO_1500
 
 
+# the same over the triple-level requests: `generators N --verify --json` at
+# the 16 levels the benchmark serves from the prime, prime-square and twin
+# path, then the optimal polygon at 4483 and the twin polygon at 1147 = 31·37;
+# recorded before the per-side constructors and passes were made cheaper
+TRIPLE_LEVELS = (1193, 1559, 1951, 2347, 2731, 3203, 3617, 4049, 4483, 4951, 5407, 5843, 6301, 6779, 7081, 7741)
+TRIPLE_REQUESTS = [("generators", str(n), "--verify", "--json") for n in TRIPLE_LEVELS] + [
+    ("polygon", "4483", "--strategy", "optimal", "--json"),
+    ("polygon", "1147", "--strategy", "twin", "--json"),
+]
+TRIPLE_DIGEST = "eead0b72076e091cd1190c32efe3e91a709c923f218a9c6385a95282c48ac4d8"
+
+
+def test_triple_level_output_is_byte_identical(capsys):
+    digest = hashlib.sha256()
+    for argv in TRIPLE_REQUESTS:
+        digest.update(repr(run_cli(capsys, *argv)).encode())
+    assert digest.hexdigest() == TRIPLE_DIGEST
+
+
 def test_bounds_max_bound_needs_exact(capsys):
     code, out, err = run_cli(capsys, "bounds", "41", "--max-bound", "6")
     assert code == 2
@@ -434,12 +453,14 @@ def test_python_dash_m_runs_the_cli():
         ("generators", "4483", "--verify", "--json"),
         ("generators", "1147", "--verify", "--json"),
         ("generators", "1000", "--verify", "--json"),
+        ("bounds", "797", "--exact", "--json"),
     ],
 )
 def test_optimised_run_prints_the_same_bytes(argv):
     # python -O strips every assert; the checks must hold no work the
     # output depends on (4483 is a prime, 1147 = 31·37 a twin level, and
-    # 1000 grows its polygon leftmost)
+    # 1000 grows its polygon leftmost; the exact m at the prime 797 rests
+    # on the optimal witness, whose one check raises rather than asserts)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     outs = []
     for flags in ([], ["-O"]):

@@ -1,6 +1,8 @@
 """Exact rational arithmetic: fractions, Farey pairs, sequences, lifting."""
 
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,28 @@ def test_reduce_normalizes_sign_and_gcd():
 def test_reduce_rejects_zero_over_zero():
     with pytest.raises(ValueError):
         reduce(0, 0)
+
+
+def test_frac_keeps_the_frozen_dataclass_contract():
+    # the hand-written constructor stores the two fields as given, and a
+    # Frac stays a frozen dataclass on (num, den)
+    x = Frac(2, 7)
+    assert [f.name for f in dataclasses.fields(Frac)] == ["num", "den"]
+    assert (x.num, x.den) == (2, 7)
+    assert repr(x) == "Frac(2, 7)" and str(x) == "2/7"
+    assert repr(INF) == "Frac(1, 0)"
+    assert x == reduce(4, 14) and x != Frac(2, 9) and x != (2, 7)
+    assert hash(x) == hash(reduce(4, 14)) == hash((2, 7))
+    assert Frac(1, 0) == INF and Frac(0, 1) == ZERO and Frac(1, 1) == ONE
+    for y in (x, INF, ZERO, ONE, Frac(-3, 5)):
+        copy = pickle.loads(pickle.dumps(y))
+        assert type(copy) is Frac and copy == y and hash(copy) == hash(y)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.num = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del x.den
+    assert not hasattr(x, "__dict__")
+    assert dataclasses.replace(x, num=3) == Frac(3, 7)
 
 
 def test_parse_roundtrips():

@@ -1,5 +1,7 @@
 """Independent generating systems and their verification."""
 
+import dataclasses
+import pickle
 from sys import modules
 
 import pytest
@@ -21,7 +23,7 @@ from gamma0.polygon import (
     grow_maximal,
     side_pairing_system,
 )
-from gamma0.psl2 import S, T, inverse
+from gamma0.psl2 import Mat, S, T, inverse
 from gamma0.triples import build_optimal_polygon, build_twin_polygon
 
 
@@ -190,6 +192,29 @@ def test_cusp_classes_equal_v_inf(n):
 
 def test_cusp_classes_of_a_large_optimal_polygon():
     assert cusp_class_count(build_optimal_polygon(19997)) == group_invariants(19997).v_inf
+
+
+def test_generator_keeps_the_frozen_dataclass_contract():
+    # the hand-written constructor fills the instance dict once; a Generator
+    # stays a frozen dataclass on its five fields
+    g = Generator(Mat(-3, 2, -5, 3), "paired", None, 4, 7)
+    assert [f.name for f in dataclasses.fields(Generator)] == ["matrix", "kind", "order", "source", "target"]
+    assert vars(g) == {"matrix": Mat(3, -2, 5, -3), "kind": "paired", "order": None, "source": 4, "target": 7}
+    assert repr(g) == "Generator(matrix=Mat(a=3, b=-2, c=5, d=-3), kind='paired', order=None, source=4, target=7)"
+    twin = Generator(Mat(3, -2, 5, -3), "paired", None, 4, 7)
+    assert g == twin and g != Generator(T, "paired", None, 4, 7) and g != dataclasses.replace(g, target=8)
+    assert hash(g) == hash(twin) == hash((Mat(3, -2, 5, -3), "paired", None, 4, 7))
+    assert Generator(matrix=T, kind="translation", order=None, source=0, target=9).matrix is T
+    for h in (g, Generator(T, "translation", None, 0, 9), Generator(S, "even", 2, 1, 1)):
+        copy = pickle.loads(pickle.dumps(h))
+        assert type(copy) is Generator and copy == h and hash(copy) == hash(h)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.order = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del g.kind
+    assert dataclasses.replace(g, kind="even", order=2) == Generator(Mat(3, -2, 5, -3), "even", 2, 4, 7)
+    with pytest.raises(TypeError):
+        Generator(T, "translation", None, 0)
 
 
 def test_system_json_shape():

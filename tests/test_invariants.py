@@ -16,6 +16,8 @@ from math import gcd, inf, isqrt
 import pytest
 
 import gamma0
+import gamma0.polygon
+import gamma0.triples
 
 from gamma0 import invariants
 from gamma0.invariants import (
@@ -42,7 +44,7 @@ from gamma0.invariants import (
     totient_summatory,
     twin_factors,
 )
-from gamma0.polygon import grow_maximal
+from gamma0.polygon import grow_maximal, is_maximal
 from gamma0.triples import cashew_certificate
 
 from exact_reference import reference_admits_bound, reference_m_exact_search
@@ -297,6 +299,30 @@ def test_admits_bound_matches_the_scan_search(n):
         assert _admits_bound(n, bound) == expected, bound
 
 
+@pytest.mark.parametrize("cap", [0, 2, None])
+def test_capped_memo_keeps_the_answers_of_the_scan_search(monkeypatch, cap):
+    # past _GAP_SEARCH_MEMO the memo of failed states stops growing; a state
+    # left out is searched again, so every answer of the scan search holds
+    sizes = []
+
+    class RecordedSet(set):
+        def add(self, item):
+            super().add(item)
+            sizes.append(len(self))
+
+    if cap is not None:
+        monkeypatch.setattr(invariants, "_GAP_SEARCH_MEMO", cap)
+    monkeypatch.setattr(invariants, "set", RecordedSet, raising=False)
+    for n in range(2, 36):
+        m = reference_m_exact_search(n)
+        for bound in range(isqrt(n), m + 1):
+            assert _admits_bound(n, bound) == reference_admits_bound(n, bound), (n, bound)
+    if cap is None:
+        assert max(sizes) > 2  # uncapped here, the memo grows past the caps above
+    else:
+        assert max(sizes, default=0) == cap
+
+
 def test_m_exact_search_matches_the_scan_search_at_primes_and_prime_squares():
     levels = [n for n in range(2, 801) if prime_or_prime_square(n)]
     assert len(levels) == 148
@@ -340,6 +366,47 @@ def test_witness_is_the_answer_when_the_gap_search_refuses_every_bound(monkeypat
     message = r"^no maximal polygon for n=30 with denominators <= 16$"
     with pytest.raises(SearchExhausted, match=message):
         m_exact_search(30, max_bound=16)
+
+
+def test_optimal_and_twin_witnesses_are_checked_once(monkeypatch):
+    # the construction checks its polygon; the exact search does not check
+    # the same polygon again
+    calls = []
+
+    def counted(P):
+        calls.append(P.n)
+        return is_maximal(P)
+
+    monkeypatch.setattr(gamma0.polygon, "is_maximal", counted)
+    monkeypatch.setattr(gamma0.triples, "is_maximal", counted)
+    for n in (797, 1147):  # a prime, and the twin level 31·37
+        calls.clear()
+        P, w = _witness_bound(n, group_invariants(n).u)
+        assert calls == [n]
+        assert len(P) == group_invariants(n).u + 2 and w == P.max_denominator()
+
+
+_BROKEN_WITNESS = """
+import gamma0.triples
+from gamma0.invariants import m_exact_search
+
+gamma0.triples._upper_bound = lambda n: 10
+try:
+    m_exact_search(797)
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+def test_witness_check_runs_under_python_dash_O():
+    # python -O strips asserts; the one check of the optimal witness raises
+    src = os.path.dirname(os.path.dirname(gamma0.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_WITNESS], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "denominator bound 10 broken at n=797\n"
 
 
 def test_budget_stops_the_cover_walk():

@@ -1,6 +1,8 @@
 """Matrix algebra in PSL(2,Z): composition, action on cusps, edge transport."""
 
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -38,6 +40,35 @@ def test_sign_normalization():
     h = Mat(0, -1, 1, 0)  # c > 0 already, kept as-is
     assert (h.a, h.b, h.c, h.d) == (0, -1, 1, 0)
     assert h == S  # S stores as [[0,1],[-1,0]] -> normalized to [[0,-1],[1,0]]
+
+
+def test_mat_keeps_the_frozen_dataclass_contract():
+    # the hand-written constructor changes how the fields are stored, not
+    # what a Mat is: the same fields, comparison, hashing, repr and pickling
+    g = Mat(-3, 2, -5, 3)  # stored as its sign-normalized representative
+    assert [f.name for f in dataclasses.fields(Mat)] == ["a", "b", "c", "d"]
+    assert (g.a, g.b, g.c, g.d) == (3, -2, 5, -3)
+    assert repr(g) == "Mat(a=3, b=-2, c=5, d=-3)"
+    assert str(g) == "[[3,-2],[5,-3]]"
+    assert g == Mat(3, -2, 5, -3) and g != T and g != (3, -2, 5, -3)
+    assert hash(g) == hash(Mat(3, -2, 5, -3)) == hash((3, -2, 5, -3))
+    assert Mat(-1, -1, 0, -1) == T
+    for h in (g, T, S, R, I):
+        copy = pickle.loads(pickle.dumps(h))
+        assert type(copy) is Mat and copy == h and hash(copy) == hash(h)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        T.a = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del T.b
+    assert not hasattr(T, "__dict__")
+    # replace() goes through the constructor: the determinant check and the
+    # sign normalization both apply
+    with pytest.raises(ValueError, match=r"^\[\[1,1\],\[2,1\]\] has determinant != 1$"):
+        dataclasses.replace(T, c=2)
+    with pytest.raises(ValueError, match=r"^\[\[1,1\],\[0,2\]\] has determinant != 1$"):
+        dataclasses.replace(T, d=2)
+    assert dataclasses.replace(T, b=2) == Mat(1, 2, 0, 1)  # T², determinant 1
+    assert dataclasses.replace(T, a=-1, b=-1, d=-1) == T
 
 
 def test_standard_generators():
