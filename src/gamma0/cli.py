@@ -1,7 +1,8 @@
 """Command line interface: per-level queries, sweeps, and SVG rendering.
 
 Subcommands: invariants, polygon, generators, bounds, cashew, sweep.
-Exit codes: 0 success, 1 verification/search failure, 2 usage error.
+Exit codes: 0 success, 1 verification/search failure or a closed stdout
+(nothing is printed then), 2 usage error.
 
 ``generators --json`` prints exactly the bytes of
 ``json.dumps(system.to_json(), indent=2)``, but from one fixed template per
@@ -443,7 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left: stdout goes to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

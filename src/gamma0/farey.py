@@ -154,16 +154,13 @@ def lift_denominator_sequence(seq: list[int]) -> list[Frac]:
     ``seq`` lists the cusp denominators starting 0 (for ∞), 1 (for 0) and
     ending 1 (for the cusp 1).  Consecutive entries must be coprime and the
     per-side Farey pairs must chain consistently, otherwise the sequence does
-    not come from a polygon and a ValueError is raised.
+    not come from a polygon and a ValueError is raised (by
+    ``pair_from_denominators`` for a pair that is not positive and coprime).
     """
     if len(seq) < 3 or seq[0] != 0 or seq[1] != 1 or seq[-1] != 1:
         raise ValueError("denominator sequence must look like [0, 1, ..., 1]")
-    if any(d == 0 for d in seq[1:]):
-        raise ValueError("0 may appear only first (the cusp at infinity)")
     cusps = [INF, ZERO]
     for a, b in zip(seq[1:], seq[2:]):
-        if math.gcd(a, b) != 1:
-            raise ValueError(f"consecutive denominators ({a}, {b}) not coprime")
         left, right = pair_from_denominators(a, b)
         if left != cusps[-1]:
             raise ValueError(

@@ -17,25 +17,23 @@ A second lower bound is the cusp divisor: Γ₀(n) preserves gcd(y, n) for a
 cusp x/y and every cusp class is a vertex of every maximal polygon, so the
 class with gcd(y, n) = n/p, p the least prime of n, gives d(n) = n/p ≤ m.
 The upper one is a witness: the optimal, twin or smallest-mediant polygon,
-checked here to be maximal with u(n) + 2 cusps, whose largest denominator w
-is admissible.  The witness also gives a cheaper lower bound: if the orbit
-of a triangle of the witness with mediant w has no lift of mediant < w,
-the triangles below w miss an orbit, so c(n) ≥ w and m = w.  That orbit is
-three P¹(Z/nZ) points, and a point (1 : t) is hit at x only by y ≡ t·x, so
-the check costs O(w) where the cover walk pairs O(w²) triangles.  At a
-prime or prime square the hull of F*_⌊√n⌋ projects injectively and every
-piece outside it is a cone or a single triangle, so the triangles the
-witness puts on the triple heads are orbits a smaller polygon can miss.
-The search is one ladder: a floor starts at ⌊√n⌋ and d(n), the witness is
-built, and while the floor is below w the orbit check lifts it to w or,
-failing that, the cover walk lifts it to c(n); the exhaustive bounded
-search tries only the bounds left below w.  Where w meets d(n), as at most
-composite levels, that is one witness build, and up to 3000 the orbit check
-settles every other level but n = 30.  Outside the gap the bounded search
-serves the tests as an oracle for the certified value.  Triangle names, the orbit check and the search all use the P¹(Z/nZ)
-pairing key of ``polygon`` (``_key_function``, defined here), and that key
-is checked against the raw congruence n | ac + bd by the property test
-``test_pairing_key_is_the_gluing_congruence``.
+which its builder checks to be maximal with u(n) + 2 cusps, so its largest
+denominator w is admissible.  The witness also gives a cheaper lower
+bound: if the orbit of a triangle of the witness with mediant w has no lift
+of mediant < w, the triangles below w miss an orbit, so c(n) ≥ w and
+m = w.  That orbit is three P¹(Z/nZ) points, and a point (1 : t) is hit at
+x only by y ≡ t·x, so the check costs O(w) where the cover walk pairs O(w²)
+triangles.  At a prime or prime square the hull of F*_⌊√n⌋ projects
+injectively and every piece outside it is a cone or a single triangle, so
+the triangles the witness puts on the triple heads are orbits a smaller
+polygon can miss.  ``m_exact_search`` climbs these rungs as one ladder;
+the exhaustive bounded search tries only the bounds left below w, and
+outside that gap serves the tests as an oracle.  Where w meets d(n), as at
+most composite levels, the ladder costs one witness build, and up to 3000
+the orbit check settles every other level but n = 30.  All of them name
+triangles by the P¹(Z/nZ) pairing key of ``polygon`` (``_key_function``,
+defined here), which ``test_pairing_key_is_the_gluing_congruence`` checks
+against the raw congruence n | ac + bd.
 
 The lower bound ⌊√n⌋ is attained iff u(n) = Φ(⌊√n⌋).  Φ comes from one
 cumulative totient table in plain ints, grown on demand by
@@ -380,14 +378,14 @@ def _peak_sides(P, w: int):
     return ((c[i - 1].den, c[i + 1].den) for i in range(1, len(c) - 1) if c[i].den == w)
 
 
-def _witness_bound(n: int, u: int):
-    """A maximal polygon, checked once, and its largest denominator w: m(n) ≤ w.
+def _witness_bound(n: int):
+    """A maximal polygon and its largest denominator w: m(n) ≤ w.
 
-    The optimal polygon serves primes and prime squares and the twin polygon
-    eligible pq; both are checked as they are built (``triples._resolved``).
-    Smallest-mediant growth serves every other level and is checked here.
+    The optimal polygon serves primes and prime squares, the twin polygon
+    eligible pq, and smallest-mediant growth every other level; each builder
+    checks its own result.
     """
-    from .polygon import grow_maximal, is_maximal
+    from .polygon import grow_maximal
     from .triples import build_optimal_polygon, build_twin_polygon
 
     if prime_or_prime_square(n):
@@ -396,10 +394,6 @@ def _witness_bound(n: int, u: int):
         P = build_twin_polygon(*tw)
     else:
         P = grow_maximal(n, "smallest-mediant")
-        if not is_maximal(P):
-            raise RuntimeError(f"witness polygon at n={n} has free sides")
-        if len(P) != u + 2:
-            raise RuntimeError(f"witness polygon at n={n} has {len(P)} cusps, not u(n) + 2 = {u + 2}")
     return P, P.max_denominator()
 
 
@@ -536,13 +530,12 @@ def m_exact_search(n: int, max_bound: int | None = None, min_bound: int | None =
     lo = max(lo, _cusp_divisor_bound(n))
     budget = inf if max_bound is None else max_bound
     if lo <= budget:
-        u = group_invariants(n).u
-        P, w = _witness_bound(n, u)
+        P, w = _witness_bound(n)
         if lo < w:
             if not all(_orbit_met_below(n, a, b) for a, b in _peak_sides(P, w)):
                 lo = w
             else:
-                lo = max(lo, _cover_bound(n, u, budget))
+                lo = max(lo, _cover_bound(n, group_invariants(n).u, budget))
         for bound in range(lo, min(w, budget + 1)):
             try:
                 admitted = _admits_bound(n, bound)

@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .farey import Frac, INF, ZERO, ONE, mediant
-from .invariants import _key_function
+from .invariants import _key_function, group_invariants
 from .psl2 import Mat, T, inverse, in_gamma0
 
 VERTICAL = 1
@@ -278,6 +278,16 @@ def is_maximal(P: LabeledPolygon) -> bool:
     return FREE not in P.labels
 
 
+def _check_maximal(P: LabeledPolygon) -> LabeledPolygon:
+    """Return P, raising RuntimeError (also under ``python -O``) unless it is
+    maximal with u(n) triangles: the one check of every maximal-polygon builder."""
+    if not is_maximal(P):
+        raise RuntimeError(f"construction left free sides at n={P.n}")
+    if len(P) != group_invariants(P.n).u + 2:
+        raise RuntimeError(f"triangle count is not u(n) at n={P.n}")
+    return P
+
+
 def _grow(n: int, strategy: str) -> LabeledPolygon:
     """Grow the base triangle until no free side remains.
 
@@ -393,9 +403,7 @@ def grow_maximal(n: int, strategy: str = "leftmost") -> LabeledPolygon:
         raise ValueError("level must be at least 2")
     if strategy not in GROWTH_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; use one of {GROWTH_STRATEGIES}")
-    P = _grow(n, strategy)
-    assert is_maximal(P)
-    return P
+    return _check_maximal(_grow(n, strategy))
 
 
 def _side_transport(P: LabeledPolygon, i: int) -> tuple[int, Mat]:

@@ -20,18 +20,10 @@ via n = s·a + t·b with s+t > a > t ≥ b ≥ a−s.  They are read off the sam
 enumeration: the canonical triples ((a−b, b), (s, t), ·) of head sum
 ⌊√(4n/3)⌋ with t ≥ b.
 
-The enumeration does constant work per candidate.  For a head (a0, b0) of
-sum A the relation a1·A + b1·b0 = n fixes b1 ≡ n·b0⁻¹ (mod A) in [1, A−1],
-so each b0 has one candidate, and with D = A² − n the two minimality
-conditions together leave only the window b0·(A − b0) > D, i.e.
-|2b0 − A| < √(4n − 3A²).  The reflection z ↦ 1 − z̄ normalises Γ₀(n) and
-maps the head b0 to A − b0, so one inverse serves a triple and its mirror
-and only the lower half of the window is scanned: about 0.052·n candidate
-heads per level over all A > √n (see ``_head_scan``).  A batch of levels
-shares one table of the units b0 and their inverses b0⁻¹ mod A per head
-sum, so a sweep pays one ``pow`` per unit (A, b0) per batch rather than per
-level.  The scan yields each triple as one flat tuple of its six numbers.
-The tests keep the plain scans as references.
+The one enumeration, ``_head_scan``, does constant work per candidate
+head (a0, b0): the relation fixes b1 ≡ n·b0⁻¹ (mod A) for the head sum A,
+and the mirror z ↦ 1 − z̄ halves the heads scanned, to about 0.052·n per
+level over all A > √n.  The tests keep the plain scans as references.
 """
 
 from __future__ import annotations
@@ -41,8 +33,8 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .farey import Frac, farey_sequence
-from .invariants import _upper_bound, group_invariants, prime_or_prime_square, twin_factors
-from .polygon import LabeledPolygon, is_maximal, polygon_from_cusps
+from .invariants import _upper_bound, prime_or_prime_square, twin_factors
+from .polygon import LabeledPolygon, _check_maximal, polygon_from_cusps
 
 
 class TripleNotApplicable(ValueError):
@@ -285,9 +277,12 @@ def canonical_triples(n: int, head_sum: int | None = None) -> list[FareyTriple]:
     With head_sum given, every triple whose minimal pair sum equals it
     (whatever that sum is); otherwise only the triples with head sum > √n,
     which are the ones realized by free hull sides and counted by k(n).
+    No triple has a head sum below 2.
     """
     if n < 2:
         raise ValueError("level must be at least 2")
+    if head_sum is not None and head_sum < 2:
+        return []
     found = _free_side_triples(n) if head_sum is None else _triples_at(n, head_sum)
     return [FareyTriple(((a0, b0), (a1, b1), (a2, b2))) for a0, b0, a1, b1, a2, b2 in found]
 
@@ -377,9 +372,9 @@ def _resolved(n: int, splits: dict[Pair, int]) -> LabeledPolygon:
     ``splits`` maps a hull side's denominator pair (left, right) to the number
     of mediants it takes, each cut off at the side's left end; the head side
     of every triple that k(n) counts takes one more.  The result is checked
-    here, also under ``python -O``, and RuntimeError is raised unless it is
-    maximal, with u(n) triangles and all denominators ≤ the upper bound of
-    ``m_bounds``; this is the one check of the optimal and twin witnesses.
+    once, also under ``python -O``: RuntimeError is raised unless it is
+    maximal with u(n) triangles (``polygon._check_maximal``) and all its
+    denominators are ≤ the upper bound of ``m_bounds``.
     """
     splits = dict.fromkeys(((t[0], t[1]) for t in _free_side_triples(n)), 1) | splits
     seq = farey_sequence(isqrt(n))
@@ -390,11 +385,7 @@ def _resolved(n: int, splits: dict[Pair, int]) -> LabeledPolygon:
         if r:  # (j·x.num + y.num)/(j·x.den + y.den) rises from x towards y as j falls
             cusps += [Frac(j * x.num + y.num, j * x.den + y.den) for j in range(r, 0, -1)]
         cusps.append(y)
-    P = polygon_from_cusps(n, cusps)
-    if not is_maximal(P):
-        raise RuntimeError(f"construction left free sides at n={n}")
-    if len(P) != group_invariants(n).u + 2:
-        raise RuntimeError(f"triangle count is not u(n) at n={n}")
+    P = _check_maximal(polygon_from_cusps(n, cusps))
     bound = _upper_bound(n)
     if P.max_denominator() > bound:
         raise RuntimeError(f"denominator bound {bound} broken at n={n}")

@@ -446,6 +446,22 @@ def test_python_dash_m_runs_the_cli():
     assert "index = 42" in proc.stdout
 
 
+def test_closed_stdout_ends_quietly_with_exit_code_1():
+    # the reader takes one line and leaves; the rest of the sweep meets a
+    # closed pipe, which is no usage error and prints nothing
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gamma0", "sweep", "2", "5000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first.startswith(b"n,index,")
+    assert err == b""
+    assert proc.returncode == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

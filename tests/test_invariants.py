@@ -17,7 +17,6 @@ import pytest
 
 import gamma0
 import gamma0.polygon
-import gamma0.triples
 
 from gamma0 import invariants
 from gamma0.invariants import (
@@ -378,12 +377,26 @@ def test_optimal_and_twin_witnesses_are_checked_once(monkeypatch):
         return is_maximal(P)
 
     monkeypatch.setattr(gamma0.polygon, "is_maximal", counted)
-    monkeypatch.setattr(gamma0.triples, "is_maximal", counted)
     for n in (797, 1147):  # a prime, and the twin level 31·37
         calls.clear()
-        P, w = _witness_bound(n, group_invariants(n).u)
+        P, w = _witness_bound(n)
         assert calls == [n]
         assert len(P) == group_invariants(n).u + 2 and w == P.max_denominator()
+
+
+def test_grown_witness_is_checked_once(monkeypatch):
+    # growth checks its own polygon, and the exact search takes the grown
+    # witness as it is
+    calls = []
+
+    def counted(P):
+        calls.append(P.n)
+        return is_maximal(P)
+
+    monkeypatch.setattr(gamma0.polygon, "is_maximal", counted)
+    P, w = _witness_bound(30)
+    assert calls == [30]
+    assert len(P) == group_invariants(30).u + 2 and w == P.max_denominator() == 17
 
 
 _BROKEN_WITNESS = """
@@ -407,6 +420,30 @@ def test_witness_check_runs_under_python_dash_O():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout == "denominator bound 10 broken at n=797\n"
+
+
+_BROKEN_GROWTH = """
+import gamma0.polygon as polygon
+
+polygon._classify_all = lambda n, cusps: [1] + [polygon.FREE] * (len(cusps) - 2) + [1]
+try:
+    P = polygon.grow_maximal(30, "smallest-mediant")
+except RuntimeError as exc:
+    print(exc)
+else:
+    print(len(P.cusps), len(P.free_sides()))
+"""
+
+
+def test_growth_check_runs_under_python_dash_O():
+    # python -O strips asserts; growth's one check of its polygon raises
+    src = os.path.dirname(os.path.dirname(gamma0.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_GROWTH], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "construction left free sides at n=30\n"
 
 
 def test_budget_stops_the_cover_walk():
@@ -455,7 +492,7 @@ def test_orbit_rung_certifies_only_the_cover_bound():
     undecided = []
     for n in levels:
         u = group_invariants(n).u
-        P, w = _witness_bound(n, u)
+        P, w = _witness_bound(n)
         if max(isqrt(n), _cusp_divisor_bound(n)) < w:
             if all(_orbit_met_below(n, a, b) for a, b in _peak_sides(P, w)):
                 undecided.append(n)
@@ -491,7 +528,7 @@ def test_orbit_rung_agrees_with_the_walk_triangle_by_triangle(n, top):
 def test_orbit_rung_reports_the_gap_at_30_met():
     # m(30) = 15 < w = 17: every peak orbit of the witness has a lower lift,
     # and so does the first triangle whose orbit the walk named earlier
-    P, w = _witness_bound(30, group_invariants(30).u)
+    P, w = _witness_bound(30)
     peaks = list(_peak_sides(P, w))
     assert w == 17 and peaks
     assert all(_orbit_met_below(30, a, b) for a, b in peaks)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import gamma0.invariants
 import gamma0.polygon
-import gamma0.triples
 from gamma0.farey import farey_sequence
 from gamma0.invariants import (
     group_invariants,
@@ -118,6 +117,13 @@ def test_enumeration_matches_brute_force(n):
     free = {t for t in brute if t.min_sum() > v}
     assert set(canonical_triples(n)) == free
     assert triple_count(n) == len(free)
+
+
+@pytest.mark.parametrize("head_sum", [-3, 0, 1])
+def test_head_sums_below_two_have_no_triples(head_sum):
+    # a triple's head is a coprime pair of positive denominators, so its sum
+    # is at least 2; no such head sum reaches the scan, which reduces n mod A
+    assert canonical_triples(41, head_sum=head_sum) == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -390,7 +396,7 @@ def test_builds_evaluate_the_invariants_once(monkeypatch, build, args):
         return invariants_of(n)
 
     monkeypatch.setattr(gamma0.invariants, "group_invariants", counted)
-    monkeypatch.setattr(gamma0.triples, "group_invariants", counted)
+    monkeypatch.setattr(gamma0.polygon, "group_invariants", counted)
     build(*args)
     assert len(calls) == 1
 
