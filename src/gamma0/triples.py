@@ -23,7 +23,8 @@ enumeration: the canonical triples ((a−b, b), (s, t), ·) of head sum
 The one enumeration, ``_head_scan``, does constant work per candidate
 head (a0, b0): the relation fixes b1 ≡ n·b0⁻¹ (mod A) for the head sum A,
 and the mirror z ↦ 1 − z̄ halves the heads scanned, to about 0.052·n per
-level over all A > √n.  The tests keep the plain scans as references.
+odd level over all A > √n; an even level costs nothing, since it has no
+triple.  The tests keep the plain scans as references.
 """
 
 from __future__ import annotations
@@ -172,6 +173,13 @@ def triple_from_free_side(n: int, side: Pair) -> FareyTriple:
 def _head_scan(levels: list[int], head_sums):
     """Yield (i, triples) per head sum A of levels[i] in head_sums(levels[i]).
 
+    An even level has no triple, at any head sum, so it is skipped before
+    ``head_sums`` is asked and yields nothing.  Mod 2 the relation for an
+    even n reads a_{i+1}·(a_i + b_i) + b_{i+1}·b_i ≡ 0, so each coprime
+    pair's class forces the next one's: (1, 0) → (0, 1) → (1, 1) → (1, 0).
+    At the pair of class (1, 0), a_i + b_i is odd while b_{i+1} + a_{i+2}
+    is 1 + 1, even, against the identity a_i + b_i = b_{i+1} + a_{i+2}.
+
     ``triples`` lists the canonical triples of levels[i] with head sum A, in
     ascending b0, each as one flat tuple (a0, b0, a1, b1, a2, b2); the
     callers nest or read the fields they need.  The head (a0, b0) of a
@@ -196,10 +204,11 @@ def _head_scan(levels: list[int], head_sums):
     are the head's, term for term (its first is the head's third, its second
     the second, its third the first), so the one assert covers both.  The
     window is symmetric about A/2, so only its lower half b0 ≤ ⌊A/2⌋ is
-    scanned, about 0.052·n heads per level over all A > √n.  Each b0 yields its own triple
-    when X > D and Y ≥ D, and its mirror's when Y > D and X ≥ D.  The unit
-    b0 = A/2 is its own mirror (only A = 2 has one) and counts once.  Mirrors
-    come in descending b0, so they are listed after the lower half, reversed.
+    scanned, about 0.052·n heads per odd level over all A > √n.  Each b0
+    yields its own triple when X > D and Y ≥ D, and its mirror's when Y > D
+    and X ≥ D.  The unit b0 = A/2 is its own mirror (only A = 2 has one)
+    and counts once.  Mirrors come in descending b0, so they are listed
+    after the lower half, reversed.
 
     Head sums are taken in ascending order and, for each, the levels that
     use it share one table (b0, A − b0, b0⁻¹ mod A) over the units b0 of the
@@ -210,6 +219,8 @@ def _head_scan(levels: list[int], head_sums):
     """
     by_sum: dict[int, list[int]] = {}
     for i, n in enumerate(levels):
+        if n % 2 == 0:  # an even level has no triple
+            continue
         for A in head_sums(n):
             by_sum.setdefault(A, []).append(i)
     for A in sorted(by_sum):

@@ -4,7 +4,7 @@ import random
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import gamma0.invariants
 import gamma0.polygon
@@ -163,10 +163,10 @@ def test_triple_counts_match_the_scan_on_sweep_blocks():
         assert triple_counts(block) == [scan_triple_count(n) for n in block], block[0]
 
 
-def _per_level(levels):
+def _per_level(levels, head_sums=_free_head_sums):
     """The flat tuples one batched ``_head_scan`` yields, level by level."""
     out = [[] for _ in levels]
-    for i, found in _head_scan(levels, _free_head_sums):
+    for i, found in _head_scan(levels, head_sums):
         out[i] += found
     return out
 
@@ -237,6 +237,66 @@ def test_triple_count_equals_u_minus_phi_on_primes():
     for n in [p for p in range(2, 400) if all(p % d for d in range(2, isqrt(p) + 1))]:
         u = group_invariants(n).u
         assert triple_count(n) == u - totient_summatory(isqrt(n)), n
+
+
+# --- even levels ---
+
+
+def test_even_levels_have_no_triples_at_any_head_sum():
+    # mod 2 the pairs of a triple at an even level run through the classes
+    # (1, 0) → (0, 1) → (1, 1), against a_i + b_i = b_{i+1} + a_{i+2}; the
+    # plain scan does not know this, the library skips the level
+    for n in range(2, 401, 2):
+        A = 2
+        while 3 * A * A < 4 * n:
+            assert scan_heads(n, A) == [] == canonical_triples(n, head_sum=A), (n, A)
+            A += 1
+
+
+def test_even_levels_have_no_certificates():
+    for n in range(2, 3001, 2):
+        assert scan_certificates(n) == [] == cashew_certificates(n), n
+
+
+@st.composite
+def _positive_pairs_and_even_level(draw):
+    """Positive pairs at any even level, or a completion whose level is even.
+
+    A completion satisfies all three relations, so only the lemma keeps it
+    from being a triple.
+    """
+    ints = st.integers(min_value=1, max_value=60)
+    a0, b0, a1, b1, a2, b2 = (draw(ints) for _ in range(6))
+    if draw(st.booleans()):
+        n = 2 * draw(st.integers(min_value=1, max_value=10**4))
+    else:  # b1 < a0 + b0 and a1 + b1 > a0 keep the completion positive
+        b1 = draw(st.integers(min_value=1, max_value=a0 + b0 - 1))
+        a1 = draw(st.integers(min_value=max(1, a0 - b1 + 1), max_value=60))
+        a2, b2 = a0 + b0 - b1, a1 + b1 - a0
+        n = a1 * (a0 + b0) + b1 * b0
+        assume(n % 2 == 0)
+    return FareyTriple(((a0, b0), (a1, b1), (a2, b2))), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_positive_pairs_and_even_level())
+def test_no_triple_at_an_even_level(case):
+    t, n = case
+    assert not is_farey_triple(t, n)
+
+
+def test_the_scan_never_asks_for_an_even_level():
+    asked = []
+
+    def recorded(n):
+        asked.append(n)
+        return _free_head_sums(n)
+
+    levels = list(range(100000, 100064))
+    out = _per_level(levels, recorded)
+    assert asked == levels[1::2]
+    for n, found in zip(levels, out):
+        assert found == (_per_level([n])[0] if n % 2 else []), n
 
 
 def test_triple_from_free_side():
