@@ -18,7 +18,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from math import isqrt
 
@@ -326,6 +325,62 @@ def _sweep_chunk(task: tuple[list[int], int | None]) -> list[dict]:
     return [_sweep_row(n, exact_budget, k) for n, k in zip(levels, ks)]
 
 
+def _sweep_chunks(tasks: list, jobs: int) -> list[list[dict]]:
+    """``[_sweep_chunk(t) for t in tasks]``, computed by up to ``jobs`` processes.
+
+    The worker count is capped at the CPU and chunk counts.  Share k is
+    ``tasks[k::jobs]``, interleaved so that shares stay balanced while row
+    cost grows with n.  Shares 0 .. jobs - 2 go to forked children, which
+    pickle their chunks into a pipe; this process computes the last share,
+    then reads each pipe to EOF and reaps its child.  A child leaves only
+    through ``os._exit``, so it never returns into the caller, flushes no
+    stdio or ``--output`` buffer it inherited and runs no atexit handler.
+    Whatever happens, no child outlives the call.  A fork copies only the
+    calling thread, so the caller must be single-threaded, as the CLI is.
+    """
+    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
+    if jobs == 1 or not hasattr(os, "fork"):
+        return [_sweep_chunk(t) for t in tasks]
+    import pickle
+    import signal
+
+    chunks: list = [None] * len(tasks)
+    pids, pipes = {}, {}  # by share: children not yet reaped, read ends not yet closed
+    try:
+        for k in range(jobs - 1):
+            pipes[k], w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        os.close(pipes[k])
+                        with open(w, "wb") as pipe:
+                            pickle.dump([_sweep_chunk(t) for t in tasks[k::jobs]], pipe)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                pids[k] = pid
+            finally:
+                os.close(w)  # a later child must not hold it, or the read never ends
+        chunks[jobs - 1 :: jobs] = [_sweep_chunk(t) for t in tasks[jobs - 1 :: jobs]]
+        for k in range(jobs - 1):
+            with open(pipes.pop(k), "rb") as pipe:
+                data = pipe.read()
+            status = os.waitpid(pids.pop(k), 0)[1]
+            if status or not data:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"sweep share {k} of {jobs} failed: worker exit code {code}")
+            chunks[k::jobs] = pickle.loads(data)
+    finally:
+        for fd in pipes.values():
+            os.close(fd)
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return chunks
+
+
 _SWEEP_COLUMNS = (
     "n index v_inf v2 v3 genus u phi_sqrt k lower lower_is_exact upper m_exact cashew error"
 ).split()
@@ -361,12 +416,7 @@ def _cmd_sweep(args) -> int:
     # open the output first, so a bad path fails before any level is computed
     out = open(args.output, "w", encoding="utf-8", newline="") if args.output else sys.stdout
     try:
-        if jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-                chunks = list(pool.map(_sweep_chunk, tasks))
-        else:
-            chunks = [_sweep_chunk(t) for t in tasks]
-        rows = [row for chunk in chunks for row in chunk]
+        rows = [row for chunk in _sweep_chunks(tasks, jobs) for row in chunk]
         if args.format == "json":
             json.dump(rows, out, indent=2)
             out.write("\n")

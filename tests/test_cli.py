@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import isqrt
 from pathlib import Path
 
@@ -374,27 +375,137 @@ def test_sweep_error_stays_on_its_level(capsys, monkeypatch):
             assert row == want
 
 
-def test_sweep_starts_no_more_workers_than_chunks(capsys, monkeypatch):
-    # a stand-in pool records its size and maps in this process
-    sizes = []
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked during the test; os.fork still forks."""
+    pids = []
+    fork = os.fork
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
+
+def test_sweep_starts_no_more_workers_than_chunks(capsys, monkeypatch, forks):
+    # this process computes one share, so n shares fork n - 1 children
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     serial = run_cli(capsys, "sweep", "2", "100")
-    monkeypatch.setattr(gamma0.cli, "ProcessPoolExecutor", SerialPool)
+    assert forks == []
     assert run_cli(capsys, "sweep", "2", "100", "--jobs", "64") == serial
-    assert sizes == [4]  # 99 levels make 4 chunks of at most 32
+    assert len(forks) == 3  # 99 levels make 4 chunks of at most 32
+    code, _, err = run_cli(capsys, "sweep", "2", "33", "--jobs", "2")  # one chunk
+    assert code == 0, err
+    assert len(forks) == 3
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus,children", [(2, 1), (None, 0)])
+def test_sweep_workers_are_capped_at_the_cpu_count(capsys, monkeypatch, forks, cpus, children):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    serial = run_cli(capsys, "sweep", "2", "200")
+    assert run_cli(capsys, "sweep", "2", "200", "--jobs", "10000") == serial
+    assert len(forks) == children
+    assert_no_child_left()
+
+
+def test_sweep_worker_death_raises_and_leaves_no_child(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parent, chunk = os.getpid(), gamma0.cli._sweep_chunk
+
+    def dying(task):
+        if os.getpid() != parent:
+            os._exit(3)
+        return chunk(task)
+
+    monkeypatch.setattr(gamma0.cli, "_sweep_chunk", dying)
+    with pytest.raises(RuntimeError, match="share 0"):
+        main(["sweep", "2", "100", "--jobs", "2"])
+    assert_no_child_left()
+
+
+def test_sweep_failure_in_own_share_kills_the_workers(monkeypatch, forks):
+    # the children would sleep for a minute; they are killed instead
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    parent = os.getpid()
+
+    class Boom(Exception):
+        pass
+
+    def failing(task):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise Boom
+
+    monkeypatch.setattr(gamma0.cli, "_sweep_chunk", failing)
+    t0 = time.monotonic()
+    with pytest.raises(Boom):
+        main(["sweep", "2", "100", "--jobs", "3"])
+    assert time.monotonic() - t0 < 30
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_sweep_failed_fork_leaves_no_child(monkeypatch, forks):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    counted = os.fork
+
+    def second_fails():
+        if forks:
+            raise OSError("injected fork failure")
+        return counted()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    code = main(["sweep", "2", "100", "--jobs", "3"])
+    assert code == 2
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+_INHERITED_BUFFERS = """
+import atexit, os, sys
+from gamma0.cli import main
+os.cpu_count = lambda: 2
+atexit.register(lambda: sys.stderr.write("atexit\\n"))
+sys.stdout.write("x")  # held in the block buffer of a piped stdout
+sys.exit(main(["sweep", "2", "100", "--jobs", "2"]))
+"""
+
+
+def test_sweep_workers_flush_no_inherited_buffer():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    serial, forked = (
+        subprocess.run(argv, capture_output=True, env=env, timeout=120)
+        for argv in (
+            [sys.executable, "-m", "gamma0", "sweep", "2", "100"],
+            [sys.executable, "-c", _INHERITED_BUFFERS],
+        )
+    )
+    assert serial.returncode == forked.returncode == 0, forked.stderr
+    assert forked.stdout == b"x" + serial.stdout
+    assert forked.stderr == b"atexit\n"
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    script = (
+        "import sys, gamma0.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing', 'pickle') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_sweep_thread_env_override(capsys, monkeypatch):
