@@ -339,7 +339,7 @@ def _sweep_chunks(tasks: list, jobs: int) -> list[list[dict]]:
     calling thread, so the caller must be single-threaded, as the CLI is.
     """
     jobs = min(jobs, len(tasks), os.cpu_count() or 1)
-    if jobs == 1 or not hasattr(os, "fork"):
+    if jobs < 2 or not hasattr(os, "fork"):  # no tasks leave jobs at 0
         return [_sweep_chunk(t) for t in tasks]
     import pickle
     import signal
@@ -421,10 +421,9 @@ def _cmd_sweep(args) -> int:
             json.dump(rows, out, indent=2)
             out.write("\n")
         else:
-            writer = csv.DictWriter(out, fieldnames=_SWEEP_COLUMNS)
+            writer = csv.DictWriter(out, fieldnames=_SWEEP_COLUMNS, restval="")
             writer.writeheader()
-            for row in rows:
-                writer.writerow({k: row.get(k, "") for k in _SWEEP_COLUMNS})
+            writer.writerows(rows)
     finally:
         if args.output:
             out.close()

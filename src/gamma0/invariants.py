@@ -16,11 +16,13 @@ bound c(n) at which the triangles meet all u(n) orbits is a lower bound.
 A second lower bound is the cusp divisor: Γ₀(n) preserves gcd(y, n) for a
 cusp x/y and every cusp class is a vertex of every maximal polygon, so the
 class with gcd(y, n) = n/p, p the least prime of n, gives d(n) = n/p ≤ m.
-The upper one is a witness: the optimal, twin or smallest-mediant polygon,
-which its builder checks to be maximal with u(n) + 2 cusps, so its largest
-denominator w is admissible.  The witness also gives a cheaper lower
-bound: if the orbit of a triangle of the witness with mediant w has no lift
-of mediant < w, the triangles below w miss an orbit, so c(n) ≥ w and
+The upper one is a witness: ``triples._witness`` builds the optimal, twin
+or smallest-mediant polygon, which its builder checks to be maximal with
+u(n) + 2 cusps, so its largest denominator w is admissible.  The ladder
+keeps only w and the peak sides, the sides (a, b) under the witness's cusps
+of denominator w; it never holds the polygon.  The peaks also give a
+cheaper lower bound: if the orbit of the triangle over a peak side has no
+lift of mediant < w, the triangles below w miss an orbit, so c(n) ≥ w and
 m = w.  That orbit is three P¹(Z/nZ) points, and a point (1 : t) is hit at
 x only by y ≡ t·x, so the check costs O(w) where the cover walk pairs O(w²)
 triangles.  At a prime or prime square the hull of F*_⌊√n⌋ projects
@@ -372,31 +374,6 @@ def _orbit_met_below(n: int, a: int, b: int) -> bool:
     return False
 
 
-def _peak_sides(P, w: int):
-    """The sides (a, b) under the cusps of polygon P with denominator w = a + b."""
-    c = P.cusps
-    return ((c[i - 1].den, c[i + 1].den) for i in range(1, len(c) - 1) if c[i].den == w)
-
-
-def _witness_bound(n: int):
-    """A maximal polygon and its largest denominator w: m(n) ≤ w.
-
-    The optimal polygon serves primes and prime squares, the twin polygon
-    eligible pq, and smallest-mediant growth every other level; each builder
-    checks its own result.
-    """
-    from .polygon import grow_maximal
-    from .triples import build_optimal_polygon, build_twin_polygon
-
-    if prime_or_prime_square(n):
-        P = build_optimal_polygon(n)
-    elif (tw := twin_factors(n)) is not None:
-        P = build_twin_polygon(*tw)
-    else:
-        P = grow_maximal(n, "smallest-mediant")
-    return P, P.max_denominator()
-
-
 # Sides the gap search may visit at one bound.  n = 40 at bound 19, the
 # largest search the tests run, visits about 2.5·10⁵ in 0.4 s; the memo grows
 # with the visits, at about 100 bytes each.
@@ -512,8 +489,8 @@ def m_exact_search(n: int, max_bound: int | None = None, min_bound: int | None =
     One floor climbs to one checked witness.  The floor starts at
     lo = max(min_bound, d(n)), where min_bound defaults to ⌊√n⌋ (pass
     min_bound=1 to prove the lower bound from d and the cover alone).  Within
-    the budget, the witness w is built; if lo < w and the orbit of some
-    triangle of the witness at mediant w has no lift below w
+    the budget, ``triples._witness`` gives w and its peak sides; if lo < w
+    and the orbit of the triangle over some peak side has no lift below w
     (``_orbit_met_below``, O(w)), lo rises to w, even past the budget;
     else, if lo < w, the cover walk raises lo to c(n).  Then
     ``_admits_bound`` tries lo … w − 1; the first bound it admits is the
@@ -530,9 +507,11 @@ def m_exact_search(n: int, max_bound: int | None = None, min_bound: int | None =
     lo = max(lo, _cusp_divisor_bound(n))
     budget = inf if max_bound is None else max_bound
     if lo <= budget:
-        P, w = _witness_bound(n)
+        from .triples import _witness
+
+        w, peaks = _witness(n)
         if lo < w:
-            if not all(_orbit_met_below(n, a, b) for a, b in _peak_sides(P, w)):
+            if not all(_orbit_met_below(n, a, b) for a, b in peaks):
                 lo = w
             else:
                 lo = max(lo, _cover_bound(n, group_invariants(n).u, budget))

@@ -35,7 +35,7 @@ from math import gcd, isqrt
 
 from .farey import Frac, farey_sequence
 from .invariants import _upper_bound, prime_or_prime_square, twin_factors
-from .polygon import LabeledPolygon, _check_maximal, polygon_from_cusps
+from .polygon import LabeledPolygon, _check_maximal, grow_maximal, polygon_from_cusps
 
 
 class TripleNotApplicable(ValueError):
@@ -439,3 +439,22 @@ def build_twin_polygon(p: int, q: int) -> LabeledPolygon:
     k = (q - p) // 2
     splits = {(k, p): 2} | {(i, q - i): 1 for i in range(k + 1, p + k)}
     return _resolved(p * q, splits)
+
+
+def _witness(n: int) -> tuple[int, list[Pair]]:
+    """(w, peaks): m(n) ≤ w, the largest denominator of a maximal polygon.
+
+    The optimal polygon serves primes and prime squares, the twin polygon
+    eligible pq, and smallest-mediant growth every other level; each builder
+    checks its own result.  ``peaks`` lists the sides (a, b) under the cusps
+    of denominator w = a + b, in the polygon's order.
+    """
+    if prime_or_prime_square(n):
+        P = build_optimal_polygon(n)
+    elif (tw := twin_factors(n)) is not None:
+        P = build_twin_polygon(*tw)
+    else:
+        P = grow_maximal(n, "smallest-mediant")
+    dens = [c.den for c in P.cusps]
+    w = max(dens)
+    return w, [(dens[i - 1], dens[i + 1]) for i in range(1, len(dens) - 1) if dens[i] == w]

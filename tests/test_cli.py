@@ -541,6 +541,28 @@ def test_sweep_filters(capsys):
     assert [r["n"] for r in rows] == ["15", "21", "35", "55", "65", "77", "91", "143", "187"]
 
 
+_EMPTY_SWEEP = {"csv": ",".join(gamma0.cli._SWEEP_COLUMNS) + "\r\n", "json": "[]\n"}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_filter_keeping_no_level_prints_only_the_header(capsys, monkeypatch, forks, fmt, jobs):
+    # 2 … 10 holds no twin level, so there is no chunk to share out
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ("sweep", "2", "10", "--filter", "twin-pq", "--format", fmt, "--jobs", jobs)
+    assert run_cli(capsys, *argv) == (0, _EMPTY_SWEEP[fmt], "")
+    assert forks == []
+
+
+def test_sweep_without_fork_runs_serially(capsys, monkeypatch):
+    # platforms without os.fork compute every share in the calling process
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    serial = run_cli(capsys, "sweep", "2", "200", "--jobs", "1")
+    monkeypatch.delattr(os, "fork")
+    assert run_cli(capsys, "sweep", "2", "200", "--jobs", "4") == serial
+    assert_no_child_left()
+
+
 def test_sweep_rejects_empty_range(capsys):
     code, _, err = run_cli(capsys, "sweep", "9", "5")
     assert code == 2

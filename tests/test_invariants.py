@@ -27,10 +27,8 @@ from gamma0.invariants import (
     _cusp_divisor_bound,
     _key_function,
     _orbit_met_below,
-    _peak_sides,
     _triangle_keys,
     _triangle_names,
-    _witness_bound,
     divisors,
     equality_list,
     euler_phi,
@@ -44,7 +42,7 @@ from gamma0.invariants import (
     twin_factors,
 )
 from gamma0.polygon import grow_maximal, is_maximal
-from gamma0.triples import cashew_certificate
+from gamma0.triples import _witness, build_optimal_polygon, build_twin_polygon, cashew_certificate
 
 from exact_reference import reference_admits_bound, reference_m_exact_search
 
@@ -367,6 +365,12 @@ def test_witness_is_the_answer_when_the_gap_search_refuses_every_bound(monkeypat
         m_exact_search(30, max_bound=16)
 
 
+def _peaks_of(P):
+    """The sides (a, b) under the cusps of P with the largest denominator."""
+    c, w = P.cusps, P.max_denominator()
+    return [(c[i - 1].den, c[i + 1].den) for i in range(1, len(c) - 1) if c[i].den == w]
+
+
 def test_optimal_and_twin_witnesses_are_checked_once(monkeypatch):
     # the construction checks its polygon; the exact search does not check
     # the same polygon again
@@ -377,11 +381,14 @@ def test_optimal_and_twin_witnesses_are_checked_once(monkeypatch):
         return is_maximal(P)
 
     monkeypatch.setattr(gamma0.polygon, "is_maximal", counted)
-    for n in (797, 1147):  # a prime, and the twin level 31·37
+    for n, build, args in ((797, build_optimal_polygon, (797,)), (1147, build_twin_polygon, (31, 37))):
         calls.clear()
-        P, w = _witness_bound(n)
+        w, peaks = _witness(n)
         assert calls == [n]
+        calls.clear()
+        P = build(*args)
         assert len(P) == group_invariants(n).u + 2 and w == P.max_denominator()
+        assert peaks == _peaks_of(P)
 
 
 def test_grown_witness_is_checked_once(monkeypatch):
@@ -394,9 +401,12 @@ def test_grown_witness_is_checked_once(monkeypatch):
         return is_maximal(P)
 
     monkeypatch.setattr(gamma0.polygon, "is_maximal", counted)
-    P, w = _witness_bound(30)
+    w, peaks = _witness(30)
     assert calls == [30]
+    calls.clear()
+    P = grow_maximal(30, "smallest-mediant")
     assert len(P) == group_invariants(30).u + 2 and w == P.max_denominator() == 17
+    assert peaks == _peaks_of(P)
 
 
 _BROKEN_WITNESS = """
@@ -492,9 +502,9 @@ def test_orbit_rung_certifies_only_the_cover_bound():
     undecided = []
     for n in levels:
         u = group_invariants(n).u
-        P, w = _witness_bound(n)
+        w, peaks = _witness(n)
         if max(isqrt(n), _cusp_divisor_bound(n)) < w:
-            if all(_orbit_met_below(n, a, b) for a, b in _peak_sides(P, w)):
+            if all(_orbit_met_below(n, a, b) for a, b in peaks):
                 undecided.append(n)
             else:
                 assert _cover_bound(n, u) == w, n
@@ -528,8 +538,7 @@ def test_orbit_rung_agrees_with_the_walk_triangle_by_triangle(n, top):
 def test_orbit_rung_reports_the_gap_at_30_met():
     # m(30) = 15 < w = 17: every peak orbit of the witness has a lower lift,
     # and so does the first triangle whose orbit the walk named earlier
-    P, w = _witness_bound(30)
-    peaks = list(_peak_sides(P, w))
+    w, peaks = _witness(30)
     assert w == 17 and peaks
     assert all(_orbit_met_below(30, a, b) for a, b in peaks)
     a, b = next((a, b) for a, b, first in _walk_names(30, 17) if first < a + b)

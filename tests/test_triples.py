@@ -24,6 +24,7 @@ from gamma0.triples import (
     _free_head_sums,
     _head_scan,
     _relation_holds,
+    _witness,
     build_optimal_polygon,
     build_twin_polygon,
     canonical_rotation,
@@ -418,6 +419,24 @@ def test_k_triples_are_the_free_hull_sides_besides_the_twin_sides():
         members = [pair for t in canonical_triples(n) for pair in t.pairs]
         assert sorted(members) == sorted(d for d in free if d not in special), n
         assert len(set(members)) == len(members), n
+
+
+def test_witness_peaks_are_the_heads_of_the_largest_head_sum():
+    # what the exact search reads of the witness follows from the triples
+    # alone: w from the largest head sum A, and the peak sides from the heads
+    # at A wherever A stands above the hull (and above q at a twin level)
+    levels = [n for n in range(5, 5001) if prime_or_prime_square(n) or twin_factors(n)]
+    assert len(levels) == 748
+    for n in levels:
+        triples = canonical_triples(n)
+        top = max((t.min_sum() for t in triples), default=isqrt(n))
+        tw = twin_factors(n)
+        floor = max(isqrt(n), tw[1] if tw else 0)
+        w, peaks = _witness(n)
+        assert w == max(floor, top), n
+        if top > floor:
+            heads = [t.pairs[0] for t in triples if t.min_sum() == top]
+            assert sorted(peaks) == sorted(heads), n
 
 
 @pytest.mark.parametrize(
