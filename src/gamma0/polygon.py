@@ -25,6 +25,7 @@ there (modulo each prime power of n the solutions of ax+by ≡ 0 are the
 multiples of (−b, a)).  ``_key_function`` names that point, so finding a
 partner is one dict lookup instead of a scan over the boundary, and all
 arithmetic stays on exact Python ints whatever the size of the denominators.
+A classified polygon keeps the partner table that one pass of lookups fills.
 """
 
 from __future__ import annotations
@@ -61,17 +62,13 @@ class LabeledPolygon:
     cusps: tuple[Frac, ...]
     labels: tuple[int, ...]
     # _mates[i]: the side glued to side i, i itself for even and odd sides,
-    # -1 for free ones; derived from the labels, so not compared
+    # -1 for free ones; kept from the gluing pass or parsed from the labels
     _mates: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("level must be at least 2")
         _check_cusps(self.cusps)
-        self._check_labels()
-
-    def _check_labels(self) -> None:
-        """Validate the labels against the cusps and derive the partner table."""
         if len(self.labels) != len(self.cusps):
             raise ValueError("need exactly one label per side")
         if self.labels[0] != VERTICAL or self.labels[-1] != VERTICAL:
@@ -182,8 +179,8 @@ def classify_side(
     return "free", None
 
 
-def _classify_all(n: int, cusps: tuple[Frac, ...]) -> list[int]:
-    """Labels for every side of the polygon with the given cusps.
+def _classify_all(n: int, cusps: tuple[Frac, ...]) -> tuple[list[int], list[int]]:
+    """Labels and partner table (as ``LabeledPolygon._mates``) of every side.
 
     Partners are matched greedily left to right: a free side takes the
     lowest-index free side it glues to (the candidates are interchangeable).
@@ -194,13 +191,14 @@ def _classify_all(n: int, cusps: tuple[Frac, ...]) -> list[int]:
     keeps one side per key in the plain dict ``waiting``.  Cusp lists from
     outside may have sides that share a key; the later ones queue in FIFO
     order under that key in ``queued``, and the oldest of them moves up into
-    ``waiting`` when its predecessor is taken.  Each cusp denominator is
-    reduced mod n once, for the two sides that share the cusp.
+    ``waiting`` when its predecessor is taken.  Each gluing goes into
+    ``mates`` at once.  Each cusp denominator is reduced mod n once, for the
+    two sides that share the cusp.
     """
     key = _key_function(n)
     m = len(cusps)
     labels = [VERTICAL] + [FREE] * (m - 2) + [VERTICAL]
-    mate = [0] * m  # mate[i] = right partner of a left member i
+    mates = [m - 1] + [-1] * (m - 2) + [0]
     waiting: dict[int, int] = {}  # pairing key -> the oldest side waiting under it
     queued: dict[int, deque[int]] = {}  # pairing key -> the later sides under it, oldest first
     b = 1  # cusps[1] is 0/1
@@ -208,14 +206,14 @@ def _classify_all(n: int, cusps: tuple[Frac, ...]) -> list[int]:
         a, b = b, cusps[i + 1].den % n
         aa_bb = a * a + b * b
         if aa_bb % n == 0:
-            labels[i] = EVEN
+            labels[i], mates[i] = EVEN, i
         elif (aa_bb + a * b) % n == 0:
-            labels[i] = ODD
+            labels[i], mates[i] = ODD, i
         else:
             k = key(-b, a)
             j = waiting.pop(k, None)
             if j is not None:
-                mate[j] = i
+                mates[i], mates[j] = j, i
                 if queued and k in queued:
                     later = queued[k]
                     waiting[k] = later.popleft()
@@ -228,29 +226,30 @@ def _classify_all(n: int, cusps: tuple[Frac, ...]) -> list[int]:
                 else:
                     waiting[k] = i
     next_index = 2
-    for i, j in enumerate(mate):
-        if j:
+    for i, j in enumerate(mates):
+        if 0 < i < j:  # the left member of a glued pair
             labels[i] = labels[j] = next_index
             next_index += 1
-    return labels
+    return labels, mates
 
 
 def polygon_from_cusps(n: int, cusps) -> LabeledPolygon:
     """Build a LabeledPolygon from a cusp list, classifying all sides.
 
     The cusps are checked once, before classification (the keys need coprime
-    adjacent denominators), so the polygon is made without ``__init__``, whose
-    ``__post_init__`` would check them again.
+    adjacent denominators).  The polygon keeps that pass's labels and partner
+    table and is made without ``__init__``, which would check the cusps again.
     """
     cusps = tuple(cusps)
     _check_cusps(cusps)
     if n < 2:
         raise ValueError("level must be at least 2")
+    labels, mates = _classify_all(n, cusps)
     P = object.__new__(LabeledPolygon)
     object.__setattr__(P, "n", n)
     object.__setattr__(P, "cusps", cusps)
-    object.__setattr__(P, "labels", tuple(_classify_all(n, cusps)))
-    P._check_labels()
+    object.__setattr__(P, "labels", tuple(labels))
+    object.__setattr__(P, "_mates", tuple(mates))
     return P
 
 

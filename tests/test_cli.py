@@ -236,6 +236,25 @@ def test_triple_level_output_is_byte_identical(capsys):
     assert digest.hexdigest() == TRIPLE_DIGEST
 
 
+# the same over the composite requests: `generators N --verify --json` at the
+# 18 composite non-twin levels the benchmark serves from leftmost growth in
+# [1000, 4000], then the smallest-mediant polygon at 6 of them; recorded
+# before the classified polygon kept the partner table of its gluing pass
+GROWTH_LEVELS = (1018, 1401, 1540, 1611, 1617, 1954, 1962, 2189, 2312, 2718, 2919, 2955, 3042, 3053, 3153, 3686, 3740, 3873)
+GROWTH_SMALLEST_MEDIANT_LEVELS = (1401, 1540, 1617, 3042, 3153, 3873)
+GROWTH_REQUESTS = [("generators", str(n), "--verify", "--json") for n in GROWTH_LEVELS] + [
+    ("polygon", str(n), "--strategy", "smallest-mediant", "--json") for n in GROWTH_SMALLEST_MEDIANT_LEVELS
+]
+GROWTH_DIGEST = "4617c20e69824304391e130789ef10eab21d242ac7eb1ce627f60c68d6f900c6"
+
+
+def test_composite_level_output_is_byte_identical(capsys):
+    digest = hashlib.sha256()
+    for argv in GROWTH_REQUESTS:
+        digest.update(repr(run_cli(capsys, *argv)).encode())
+    assert digest.hexdigest() == GROWTH_DIGEST
+
+
 def test_bounds_max_bound_needs_exact(capsys):
     code, out, err = run_cli(capsys, "bounds", "41", "--max-bound", "6")
     assert code == 2

@@ -435,7 +435,10 @@ def test_witness_check_runs_under_python_dash_O():
 _BROKEN_GROWTH = """
 import gamma0.polygon as polygon
 
-polygon._classify_all = lambda n, cusps: [1] + [polygon.FREE] * (len(cusps) - 2) + [1]
+polygon._classify_all = lambda n, cusps: (
+    [1] + [polygon.FREE] * (len(cusps) - 2) + [1],
+    [len(cusps) - 1] + [-1] * (len(cusps) - 2) + [0],
+)
 try:
     P = polygon.grow_maximal(30, "smallest-mediant")
 except RuntimeError as exc:

@@ -104,6 +104,37 @@ def test_polygon_from_cusps_checks_the_cusps_once(monkeypatch):
         polygon_from_cusps(1, cusps)
 
 
+def _attach_chain(n, steps):
+    P = base_polygon(n)
+    yield P
+    for _ in range(steps):
+        if is_maximal(P):
+            return
+        P = attach_triangle(P, P.free_sides()[-1])
+        yield P
+
+
+_CLASSIFIED_POLYGONS = {
+    "optimal": lambda: (build_optimal_polygon(n) for n in range(2, 3001) if prime_or_prime_square(n)),
+    "twin": lambda: (build_twin_polygon(*tw) for n in range(2, 3001) if (tw := twin_factors(n))),
+    "growth": lambda: (grow_maximal(n, s) for n in range(2, 301) for s in GROWTH_STRATEGIES),
+    "base": lambda: (base_polygon(n) for n in range(2, 301)),
+    "attach": lambda: (P for n in (41, 60, 97, 144) for P in _attach_chain(n, 40)),
+}
+
+
+@pytest.mark.parametrize("family", _CLASSIFIED_POLYGONS)
+def test_classified_polygons_keep_the_partner_table_of_their_labels(family):
+    # the table kept from the gluing pass is the one the labels describe,
+    # and the one a polygon read back from its JSON parses out of them
+    count = 0
+    for P in _CLASSIFIED_POLYGONS[family]():
+        assert P._mates == polygon_module._partner_table(P.labels), (family, P.n)
+        assert polygon_from_json(P.to_json())._mates == P._mates, (family, P.n)
+        count += 1
+    assert count > 20
+
+
 def test_base_polygon_small_levels():
     assert base_polygon(2).labels == (VERTICAL, EVEN, VERTICAL)
     assert base_polygon(3).labels == (VERTICAL, ODD, VERTICAL)

@@ -29,8 +29,10 @@ from gamma0.polygon import (
     ODD,
     VERTICAL,
     _classify_all,
+    _partner_table,
     classify_side,
     grow_maximal,
+    polygon_from_cusps,
     polygon_from_json,
     side_pairing_system,
 )
@@ -246,4 +248,14 @@ def greedy_labels(n, cusps):
 @settings(max_examples=300, deadline=None)
 @given(composite_levels(), random_farey_polygons())
 def test_classify_all_matches_greedy_reference(n, cusps):
-    assert _classify_all(n, cusps) == greedy_labels(n, cusps)
+    assert _classify_all(n, cusps)[0] == greedy_labels(n, cusps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(composite_levels(), random_farey_polygons())
+def test_classified_partner_table_matches_the_labels(n, cusps):
+    # these cusp lists need not be legal polygons, so sides may share a
+    # pairing key and reach the FIFO queue of the gluing pass
+    P = polygon_from_cusps(n, cusps)
+    assert P._mates == _partner_table(P.labels)
+    assert polygon_from_json(P.to_json())._mates == P._mates
