@@ -247,6 +247,8 @@ def _cmd_generators(args) -> int:
 def _cmd_bounds(args) -> int:
     if args.max_bound is not None and not args.exact:
         raise ValueError("--max-bound needs --exact")
+    if args.max_bound is not None and args.max_bound < 0:
+        raise ValueError("--max-bound must be >= 0")
     lower, lower_is_exact, upper = m_bounds(args.n)
     payload = {
         "n": args.n,
@@ -409,6 +411,8 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"GAMMA0_THREADS must be an integer, not {env!r}") from None
     if jobs < 1:
         raise ValueError("worker count must be >= 1")
+    if args.exact_m is not None and args.exact_m < 0:
+        raise ValueError("--exact-m must be >= 0")
     levels = [n for n in range(args.start, args.end + 1) if _keep(n, args.filter)]
     tasks = [
         (levels[i : i + _SWEEP_CHUNK], args.exact_m) for i in range(0, len(levels), _SWEEP_CHUNK)

@@ -8,34 +8,34 @@ usual local factors; the genus comes out of Riemann-Hurwitz.  u(n) =
 equivalently its cusp count minus 2.
 
 m(Gamma0(n)) is the smallest possible value of the largest cusp denominator
-over all maximal polygons.  ``m_exact_search`` certifies it from two proofs.
-The lower one is a count: a maximal polygon holds one Farey triangle from
-each of the u(n) orbits with trivial stabiliser, and each triangle but the
-base one has its largest denominator at its mediant, so the least mediant
-bound c(n) at which the triangles meet all u(n) orbits is a lower bound.
-A second lower bound is the cusp divisor: Γ₀(n) preserves gcd(y, n) for a
-cusp x/y and every cusp class is a vertex of every maximal polygon, so the
-class with gcd(y, n) = n/p, p the least prime of n, gives d(n) = n/p ≤ m.
-The upper one is a witness: ``triples._witness`` builds the optimal, twin
-or smallest-mediant polygon, which its builder checks to be maximal with
-u(n) + 2 cusps, so its largest denominator w is admissible.  The ladder
-keeps only w and the peak sides, the sides (a, b) under the witness's cusps
-of denominator w; it never holds the polygon.  The peaks also give a
-cheaper lower bound: if the orbit of the triangle over a peak side has no
-lift of mediant < w, the triangles below w miss an orbit, so c(n) ≥ w and
-m = w.  That orbit is three P¹(Z/nZ) points, and a point (1 : t) is hit at
-x only by y ≡ t·x, so the check costs O(w) where the cover walk pairs O(w²)
-triangles.  At a prime or prime square the hull of F*_⌊√n⌋ projects
-injectively and every piece outside it is a cone or a single triangle, so
-the triangles the witness puts on the triple heads are orbits a smaller
-polygon can miss.  ``m_exact_search`` climbs these rungs as one ladder;
-the exhaustive bounded search tries only the bounds left below w, and
-outside that gap serves the tests as an oracle.  Where w meets d(n), as at
-most composite levels, the ladder costs one witness build, and up to 3000
-the orbit check settles every other level but n = 30.  All of them name
-triangles by the P¹(Z/nZ) pairing key of ``polygon`` (``_key_function``,
-defined here), which ``test_pairing_key_is_the_gluing_congruence`` checks
-against the raw congruence n | ac + bd.
+over all maximal polygons.  ``m_exact_search`` certifies it as one ladder:
+floor → witness → orbit check → gap search.  The floor is a lower bound.
+It starts at ⌊√n⌋ and rises to the cusp divisor bound: Γ₀(n) preserves
+gcd(y, n) for a cusp x/y and every cusp class is a vertex of every maximal
+polygon, so the class with gcd(y, n) = n/p, p the least prime of n, gives
+d(n) = n/p ≤ m.  The witness is an upper bound: ``triples._witness`` builds
+the optimal, twin or smallest-mediant polygon, which its builder checks to
+be maximal with u(n) + 2 cusps, so its largest denominator w is admissible.
+The ladder keeps only w and the peak sides, the sides (a, b) under the
+witness's cusps of denominator w; it never holds the polygon.  The orbit
+check lifts the floor to w.  Its proof is a count: a maximal polygon holds
+one Farey triangle from each of the u(n) orbits with trivial stabiliser,
+and each triangle but the base one has its largest denominator at its
+mediant.  So if the orbit of the triangle over a peak side has no lift of
+mediant < w, no polygon with denominators < w is maximal, and m = w.  That
+orbit is three P¹(Z/nZ) points, and a point (1 : t) is hit at x only by
+y ≡ t·x, so the check costs O(w).  At a prime or prime square the hull of
+F*_⌊√n⌋ projects injectively and every piece outside it is a cone or a
+single triangle, so the triangles the witness puts on the triple heads are
+orbits a smaller polygon can miss.  Last, the exhaustive gap search tries
+the bounds still between the floor and w; outside the ladder it serves the
+tests as an oracle.  Where w meets d(n), as at most composite levels, the
+ladder costs one witness build.  Of every level to 2·10⁴ and every prime,
+prime square and twin level to 10⁵, only n = 30 reaches the gap search.
+The orbit check and the gap search name triangles by the P¹(Z/nZ) pairing
+key of ``polygon`` (``_key_function``, defined here), which
+``test_pairing_key_is_the_gluing_congruence`` checks against the raw
+congruence n | ac + bd.
 
 The lower bound ⌊√n⌋ is attained iff u(n) = Φ(⌊√n⌋).  Φ comes from one
 cumulative totient table in plain ints, grown on demand by
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, count
+from itertools import accumulate
 from math import gcd, inf, isqrt
 
 
@@ -299,40 +299,6 @@ def _triangle_keys(key, a: int, b: int) -> tuple[int, int, int]:
     return key(a, b), key(-b, s), key(-s, a)
 
 
-def _triangle_names(n: int):
-    """Yield (s, name) for the Farey triangles below the side (0, 1), by mediant s.
-
-    The least of a triangle's keys names its orbit.  Triangles fixed by R,
-    where n | a² + ab + b², are skipped; the base triangle (∞, 0, 1) comes
-    first as (a, b) = (0, 1), with s = 1.
-    """
-    key = _key_function(n)
-    yield 1, min(_triangle_keys(key, 0, 1))
-    for s in count(2):
-        for a in range(1, s):
-            b = s - a
-            if gcd(a, b) == 1 and (a * a + a * b + b * b) % n:
-                yield s, min(_triangle_keys(key, a, b))
-
-
-def _cover_bound(n: int, u: int, budget: float = inf) -> int:
-    """c(n) ≤ m(n): the least s at which the triangles with mediant ≤ s meet u orbits.
-
-    A maximal polygon holds one triangle from each of the u(n) orbits with
-    trivial stabiliser, and every triangle but the base one has its largest
-    denominator at its mediant, so no polygon with denominators < c(n) is
-    maximal.  The walk stops at the first mediant past ``budget``, which is
-    then returned: it is still a lower bound, and already past the budget.
-    """
-    seen = set()
-    for s, name in _triangle_names(n):
-        if s > budget:
-            return s
-        seen.add(name)
-        if len(seen) == u:
-            return s
-
-
 def _cusp_divisor_bound(n: int) -> int:
     """d(n) = n/p ≤ m(n), with p the least prime factor of n.
 
@@ -351,12 +317,13 @@ def _orbit_met_below(n: int, a: int, b: int) -> bool:
     keys of ``_triangle_keys``.  For gcd(x, n) = 1 that key is the point
     (x : y) = (1 : y/x), so a target (a', b') with a' a unit mod n is hit
     only by y ≡ x·b'/a' (mod n): one product per target and x, so the whole
-    check costs O(a + b) where the cover walk pairs O((a + b)²) triangles.
+    check costs O(a + b) where naming every triangle below a + b costs
+    O((a + b)²).
     The x that share a prime with n, such as x = p at n = p², have their
     keys compared one y at a time.  So when this returns False for a
     triangle of a maximal polygon, which lies in one of the u(n) orbits with
-    trivial stabiliser, the triangles of mediant < a + b miss that orbit and
-    c(n) ≥ a + b.
+    trivial stabiliser, the triangles of mediant < a + b miss that orbit, so
+    no polygon with denominators < a + b is maximal.
     """
     key = _key_function(n)
     w = a + b
@@ -488,33 +455,32 @@ def m_exact_search(n: int, max_bound: int | None = None, min_bound: int | None =
 
     One floor climbs to one checked witness.  The floor starts at
     lo = max(min_bound, d(n)), where min_bound defaults to ⌊√n⌋ (pass
-    min_bound=1 to prove the lower bound from d and the cover alone).  Within
-    the budget, ``triples._witness`` gives w and its peak sides; if lo < w
-    and the orbit of the triangle over some peak side has no lift below w
-    (``_orbit_met_below``, O(w)), lo rises to w, even past the budget;
-    else, if lo < w, the cover walk raises lo to c(n).  Then
-    ``_admits_bound`` tries lo … w − 1; the first bound it admits is the
-    answer, else max(lo, w).  The budget is max_bound: nothing is built once
-    lo exceeds it, the cover walk stops at it, and any answer past it raises
+    min_bound=1 to prove the lower bound from d, the orbit check and the gap
+    search alone).  Within the budget, ``triples._witness`` gives w and its
+    peak sides; if lo < w and the orbit of the triangle over some peak side
+    has no lift below w (``_orbit_met_below``, O(w)), lo rises to w, even
+    past the budget.  Then ``_admits_bound`` tries lo … w − 1; the first
+    bound it admits is the answer, else max(lo, w).  The budget is
+    max_bound, which must not be negative: nothing is built once lo exceeds
+    it, the gap search stops at it, and any answer past it raises
     SearchExhausted.  So does a search of one bound in the gap that passes
-    its node cap; that message names the gap (c, w).
+    its node cap; that message names the gap (c, w), with c the floor.
     """
     if n < 2:
         raise ValueError("level must be at least 2")
     lo = isqrt(n) if min_bound is None else min_bound
     if lo < 1:
         raise ValueError("min_bound must be positive")
+    if max_bound is not None and max_bound < 0:
+        raise ValueError("max_bound must not be negative")
     lo = max(lo, _cusp_divisor_bound(n))
     budget = inf if max_bound is None else max_bound
     if lo <= budget:
         from .triples import _witness
 
         w, peaks = _witness(n)
-        if lo < w:
-            if not all(_orbit_met_below(n, a, b) for a, b in peaks):
-                lo = w
-            else:
-                lo = max(lo, _cover_bound(n, group_invariants(n).u, budget))
+        if lo < w and not all(_orbit_met_below(n, a, b) for a, b in peaks):
+            lo = w
         for bound in range(lo, min(w, budget + 1)):
             try:
                 admitted = _admits_bound(n, bound)

@@ -262,6 +262,16 @@ def test_bounds_max_bound_needs_exact(capsys):
     assert "--max-bound needs --exact" in err
 
 
+@pytest.mark.parametrize("budget", ["-1", "-5"])
+def test_bounds_rejects_negative_budgets(capsys, monkeypatch, budget):
+    # checked before any work, as --jobs is: no bound is computed
+    calls = []
+    monkeypatch.setattr(gamma0.cli, "m_bounds", calls.append)
+    code, out, err = run_cli(capsys, "bounds", "30", "--exact", "--max-bound", budget)
+    assert (code, out, err) == (2, "", "error: --max-bound must be >= 0\n")
+    assert calls == []
+
+
 def test_cashew_output(capsys):
     code, out, _ = run_cli(capsys, "cashew", "41")
     assert code == 0
@@ -549,6 +559,18 @@ def test_sweep_opens_its_output_before_any_chunk(capsys, monkeypatch, tmp_path):
     assert out == ""
     assert str(missing) in err
     assert chunks == []
+
+
+@pytest.mark.parametrize("budget", ["-1", "-5"])
+def test_sweep_rejects_negative_exact_m_budgets(capsys, monkeypatch, tmp_path, budget):
+    # checked before the output is opened and before any chunk
+    chunks = []
+    monkeypatch.setattr(gamma0.cli, "_sweep_chunk", chunks.append)
+    output = tmp_path / "x.csv"
+    argv = ("sweep", "29", "31", "--exact-m", budget, "--output", str(output))
+    assert run_cli(capsys, *argv) == (2, "", "error: --exact-m must be >= 0\n")
+    assert chunks == []
+    assert not output.exists()
 
 
 def test_sweep_filters(capsys):

@@ -11,7 +11,7 @@ import subprocess
 import sys
 import time
 from itertools import count, takewhile
-from math import gcd, inf, isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -23,12 +23,10 @@ from gamma0.invariants import (
     GroupInvariants,
     SearchExhausted,
     _admits_bound,
-    _cover_bound,
     _cusp_divisor_bound,
     _key_function,
     _orbit_met_below,
     _triangle_keys,
-    _triangle_names,
     divisors,
     equality_list,
     euler_phi,
@@ -44,7 +42,12 @@ from gamma0.invariants import (
 from gamma0.polygon import grow_maximal, is_maximal
 from gamma0.triples import _witness, build_optimal_polygon, build_twin_polygon, cashew_certificate
 
-from exact_reference import reference_admits_bound, reference_m_exact_search
+from exact_reference import (
+    reference_admits_bound,
+    reference_cover_bound,
+    reference_m_exact_search,
+    reference_triangle_names,
+)
 
 EQUALITY_LEVELS = [2, 3, 4, 5, 7, 9, 11, 13, 17, 19, 25, 29, 31, 37, 49, 53, 67, 83, 127, 173]
 
@@ -281,10 +284,23 @@ def test_m_exact_search_budget():
         m_exact_search(173, max_bound=12)  # budget below the lower bound
     with pytest.raises(ValueError):
         m_exact_search(41, min_bound=0)
+    with pytest.raises(ValueError, match=r"^max_bound must not be negative$"):
+        m_exact_search(30, max_bound=-5)
+    # no denominator is 0, so the empty budget ends the search before any
+    # build; EXACT_DIGEST_BUDGETS_TO_1500 pins this answer at n = 2
+    with pytest.raises(SearchExhausted, match=r"^no maximal polygon for n=2 with denominators <= 0$"):
+        m_exact_search(2, max_bound=0)
     with pytest.raises(ValueError):
         m_exact_search(1)
     # re-proving from scratch finds the same value
     assert m_exact_search(17, min_bound=1) == 4
+
+
+def test_ladder_needs_no_sqrt_floor():
+    # the floor d(n), the orbit check and the gap search prove the lower
+    # bound alone: starting from 1 instead of ⌊√n⌋ changes no value
+    for n in range(2, 1001):
+        assert m_exact_search(n, min_bound=1) == m_exact_search(n), n
 
 
 @pytest.mark.parametrize("n", range(2, 36))
@@ -341,14 +357,14 @@ def test_triangle_names_meet_every_orbit():
     # from index and v3 rather than read off the u formula
     for n in range(2, 201):
         inv = group_invariants(n)
-        names = {name for s, name in takewhile(lambda t: t[0] <= n + 2, _triangle_names(n))}
+        names = {name for s, name in takewhile(lambda t: t[0] <= n + 2, reference_triangle_names(n))}
         assert len(names) == (inv.index - inv.v3) // 3, n
 
 
 def test_cover_bound_and_witness_bracket_the_gap_at_30():
     # the one level below 1500 where the cover bound is not attained by the
     # witness: smallest-mediant growth reaches 17, the search admits 15
-    assert _cover_bound(30, group_invariants(30).u) == 15
+    assert reference_cover_bound(30, group_invariants(30).u) == 15
     assert grow_maximal(30, "smallest-mediant").max_denominator() == 17
     assert m_exact_search(30) == 15
     assert m_exact_search(30, max_bound=15) == 15  # a budget below the witness
@@ -460,45 +476,57 @@ def test_growth_check_runs_under_python_dash_O():
 
 
 def test_budget_stops_the_cover_walk():
-    # the search stops before the walk, at d(6000) = 3000 > 100; the
-    # walk itself stops at the budget instead of pairing every triangle up
-    # to the cover bound, far past 100
+    # the search stops before any build, at d(6000) = 3000 > 100; the
+    # reference walk itself stops at the budget instead of pairing every
+    # triangle up to the cover bound, far past 100
     t0 = time.perf_counter()
     message = r"^no maximal polygon for n=6000 with denominators <= 100$"
     with pytest.raises(SearchExhausted, match=message):
         m_exact_search(6000, max_bound=100)
     dt = time.perf_counter() - t0
     assert dt < 2, f"exhaustion at n=6000 took {dt:.1f}s"
-    assert _cover_bound(6000, group_invariants(6000).u, 100) == 101
+    assert reference_cover_bound(6000, group_invariants(6000).u, 100) == 101
 
 
-def test_search_passes_its_budget_to_the_cover_walk(monkeypatch):
-    # the walk runs only where the orbit check fails, and then stops at the
-    # budget: at 30 the floor d = 15 is below the witness 17, whose peak
-    # orbit is met below 17, so the walk gets the budget 16.  At 41 the start
-    # ⌊√41⌋ = 6 is the budget, below the witness 7, and the orbit check alone
-    # lifts the floor past the budget, so the walk is never called
-    budgets = []
-    cover_bound = invariants._cover_bound
+def test_search_passes_its_budget_to_the_gap_search(monkeypatch):
+    # the gap search runs only where the orbit check fails, and then stops at
+    # the budget: at 30 the floor d = 15 is below the witness 17, whose peak
+    # orbit is met below 17, so the search tries 15 and admits it; refusing
+    # every bound, it tries 15 and 16 and stops at the budget 16.  At 41 the
+    # start ⌊√41⌋ = 6 is the budget, below the witness 7, and the orbit check
+    # alone lifts the floor past the budget, so the search is never called
+    calls = []
+    admits_bound = invariants._admits_bound
 
-    def recording(n, u, budget=inf):
-        budgets.append(budget)
-        return cover_bound(n, u, budget)
+    def recording(n, bound):
+        calls.append((n, bound))
+        return admits_bound(n, bound)
 
-    monkeypatch.setattr(invariants, "_cover_bound", recording)
+    monkeypatch.setattr(invariants, "_admits_bound", recording)
     assert m_exact_search(30, max_bound=16) == 15
-    assert budgets == [16]
-    budgets.clear()
+    assert calls == [(30, 15)]
+    calls.clear()
     message = r"^no maximal polygon for n=41 with denominators <= 6$"
     with pytest.raises(SearchExhausted, match=message):
         m_exact_search(41, max_bound=6)
-    assert budgets == []
+    assert calls == []
+
+    def refusing(n, bound):
+        calls.append(bound)
+        return False
+
+    monkeypatch.setattr(invariants, "_admits_bound", refusing)
+    message = r"^no maximal polygon for n=30 with denominators <= 16$"
+    with pytest.raises(SearchExhausted, match=message):
+        m_exact_search(30, max_bound=16)
+    assert calls == [15, 16]
 
 
 def test_orbit_rung_certifies_only_the_cover_bound():
     # wherever the ladder hands the rung a level (the floor below the
-    # witness), an unmet peak orbit must mean the cover walk reaches w too;
-    # on this range only n = 30 is left to the walk
+    # witness), an unmet peak orbit must mean the reference cover bound
+    # reaches w too; on this range only n = 30 is left to the gap search,
+    # and there the cover bound is the floor, so the search starts at c(30)
     levels = list(range(2, 1001)) + [
         n for n in range(1001, 5001) if prime_or_prime_square(n) or twin_factors(n)
     ]
@@ -510,8 +538,9 @@ def test_orbit_rung_certifies_only_the_cover_bound():
             if all(_orbit_met_below(n, a, b) for a, b in peaks):
                 undecided.append(n)
             else:
-                assert _cover_bound(n, u) == w, n
+                assert reference_cover_bound(n, u) == w, n
     assert undecided == [30]
+    assert reference_cover_bound(30, group_invariants(30).u) == _cusp_divisor_bound(30) == 15
 
 
 def _walk_names(n, top):
@@ -519,7 +548,7 @@ def _walk_names(n, top):
     name and the least mediant at which the walk names that orbit."""
     key = _key_function(n)
     first = {}
-    for s, name in takewhile(lambda t: t[0] <= top, _triangle_names(n)):
+    for s, name in takewhile(lambda t: t[0] <= top, reference_triangle_names(n)):
         first.setdefault(name, s)
     for s in range(2, top + 1):
         for a in range(1, s):
@@ -548,16 +577,16 @@ def test_orbit_rung_reports_the_gap_at_30_met():
     assert _orbit_met_below(30, a, b)
 
 
-def test_exact_m_at_primes_and_prime_squares_needs_no_cover_walk(monkeypatch):
-    # the rung decides every prime and prime square in [37, 5000]; a walk
-    # there would raise
+def test_exact_m_at_primes_and_prime_squares_needs_no_gap_search(monkeypatch):
+    # the rung decides every prime and prime square in [37, 5000]; a gap
+    # search there would raise
     levels = [n for n in range(37, 5001) if prime_or_prime_square(n)]
     expected = [m_exact_search(n) for n in levels]
 
-    def refuse(n, u, budget=inf):
-        raise AssertionError(f"the cover walk ran at n={n}")
+    def refuse(n, bound):
+        raise AssertionError(f"the gap search ran at n={n}")
 
-    monkeypatch.setattr(invariants, "_cover_bound", refuse)
+    monkeypatch.setattr(invariants, "_admits_bound", refuse)
     assert m_exact_search(41) == 7
     assert [m_exact_search(n) for n in levels] == expected
 
@@ -568,12 +597,12 @@ def test_cusp_divisor_bound_stays_under_the_cover_bound():
     for n in range(2, 401):
         d = _cusp_divisor_bound(n)
         assert d == max(k for k in range(1, n) if n % k == 0), n
-        assert d <= _cover_bound(n, group_invariants(n).u), n
+        assert d <= reference_cover_bound(n, group_invariants(n).u), n
 
 
 @pytest.mark.parametrize("n,m", [(9996, 4998), (10010, 5005)])
 def test_cusp_divisor_bound_certifies_composite_levels_without_the_cover_walk(n, m):
-    # the witness meets d(n) = n/2 here; the cover walk alone would pair
+    # the witness meets d(n) = n/2 here; the reference cover walk would pair
     # about (3/π²)·(n/2)² triangles
     t0 = time.perf_counter()
     assert m_exact_search(n) == m
