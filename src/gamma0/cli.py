@@ -496,6 +496,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # cusps and matrices from leftmost growth pass Python's default limit of
+    # 4300 digits per printed int; lift it after parsing (the level argument
+    # is read under the caller's limit) and give the caller its limit back
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -507,6 +513,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def run() -> None:

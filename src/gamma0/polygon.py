@@ -25,7 +25,9 @@ there (modulo each prime power of n the solutions of ax+by ≡ 0 are the
 multiples of (−b, a)).  ``_key_function`` names that point, so finding a
 partner is one dict lookup instead of a scan over the boundary, and all
 arithmetic stays on exact Python ints whatever the size of the denominators.
-A classified polygon keeps the partner table that one pass of lookups fills.
+Every polygon keeps the partner table that one pass of lookups fills, and a
+polygon whose labels come from outside is accepted only if they name the
+gluing that pass finds.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ VERTICAL = 1
 EVEN = -2
 ODD = -3
 FREE = -4
+_KINDS = {VERTICAL: "vertical", EVEN: "even", ODD: "odd", FREE: "free"}
 
 
 def _check_cusps(c: tuple[Frac, ...]) -> None:
@@ -56,24 +59,36 @@ def _check_cusps(c: tuple[Frac, ...]) -> None:
 
 @dataclass(frozen=True)
 class LabeledPolygon:
-    """An ideal polygon with classified sides (a Farey symbol when maximal)."""
+    """An ideal polygon with classified sides (a Farey symbol when maximal).
+
+    The labels must name the gluing of the cusps; pair indices may come in
+    any order and are compared after renumbering by first appearance.
+    """
 
     n: int
     cusps: tuple[Frac, ...]
     labels: tuple[int, ...]
     # _mates[i]: the side glued to side i, i itself for even and odd sides,
-    # -1 for free ones; kept from the gluing pass or parsed from the labels
+    # -1 for free ones; always the table of the gluing pass on the cusps
     _mates: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("level must be at least 2")
         _check_cusps(self.cusps)
-        if len(self.labels) != len(self.cusps):
-            raise ValueError("need exactly one label per side")
-        if self.labels[0] != VERTICAL or self.labels[-1] != VERTICAL:
-            raise ValueError("the two vertical sides carry label 1")
-        object.__setattr__(self, "_mates", _partner_table(self.labels))
+        labels, mates = _classify_all(self.n, self.cusps)
+        m, given = len(labels), self.labels
+        if len(given) != m:
+            raise ValueError(f"need exactly one label per side: {m} sides, {len(given)} labels")
+        renumbered: dict[int, int] = {}  # given pair index -> its number by first appearance
+        for i, want in enumerate(labels):
+            lab = given[i]
+            if lab >= 2:
+                lab = renumbered.setdefault(lab, len(renumbered) + 2)
+            if lab != want:
+                kind = _KINDS.get(want) or f"glued to side {mates[i]}"
+                raise ValueError(f"side {i} has label {given[i]}, but the cusps make it {kind}")
+        object.__setattr__(self, "_mates", tuple(mates))
 
     def __len__(self) -> int:
         return len(self.cusps)
@@ -118,42 +133,16 @@ class LabeledPolygon:
         }
 
 
-def _partner_table(labels: tuple[int, ...]) -> tuple[int, ...]:
-    """The partner of every side, validating the labels on the way.
-
-    Raises ValueError unless label 1 sits only on the two vertical sides,
-    every other label is even, odd, free or a pair index ≥ 2, and each pair
-    index occurs exactly twice.  Pair indices may come in any order.
-    """
-    m = len(labels)
-    mates = [0] * m  # 0 marks an interior side still waiting for its partner
-    mates[0], mates[-1] = m - 1, 0
-    first: dict[int, int] = {}  # pair index -> its first side
-    for i in range(1, m - 1):
-        lab = labels[i]
-        if lab == EVEN or lab == ODD:
-            mates[i] = i
-        elif lab == FREE:
-            mates[i] = -1
-        elif lab < 2:
-            raise ValueError(
-                f"side {i} has label {lab}; interior sides carry -2, -3, -4 or a pair index >= 2"
-            )
-        elif lab not in first:
-            first[lab] = i
-        elif mates[j := first[lab]]:
-            raise ValueError(f"pair index {lab} occurs more than twice")
-        else:
-            mates[i], mates[j] = j, i
-    for lab, i in first.items():
-        if not mates[i]:
-            raise ValueError(f"pair index {lab} occurs only once")
-    return tuple(mates)
-
-
 def polygon_from_json(data: dict) -> LabeledPolygon:
-    cusps = tuple(Frac.parse(s) for s in data["cusps"])
-    return LabeledPolygon(int(data["n"]), cusps, tuple(int(x) for x in data["labels"]))
+    """Read back ``to_json``; a malformed document raises ValueError naming the field."""
+    fields = []
+    for name, read in (("n", int), ("cusps", Frac.parse), ("labels", int)):
+        try:
+            value = data[name]
+            fields.append(read(value) if name == "n" else tuple(map(read, value)))
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ValueError(f"polygon field {name!r} is missing or malformed ({exc!r})") from None
+    return LabeledPolygon(*fields)
 
 
 def classify_side(
@@ -238,7 +227,8 @@ def polygon_from_cusps(n: int, cusps) -> LabeledPolygon:
 
     The cusps are checked once, before classification (the keys need coprime
     adjacent denominators).  The polygon keeps that pass's labels and partner
-    table and is made without ``__init__``, which would check the cusps again.
+    table and is made without ``__init__``, which would check the cusps again
+    and run the same gluing pass a second time to check the labels.
     """
     cusps = tuple(cusps)
     _check_cusps(cusps)

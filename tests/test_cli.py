@@ -664,6 +664,45 @@ def test_optimised_run_prints_the_same_bytes(argv):
     assert outs[0]
 
 
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "argv",
+    [("polygon", "9240", "--json"), ("polygon", "9240", "--svg"), ("generators", "9240", "--json")],
+)
+def test_output_is_not_cut_by_the_int_digit_limit(argv, tmp_path):
+    # leftmost growth reaches 706-digit denominators at 9240, past a limit of 640
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    svg = [str(tmp_path / "poly.svg")] if argv[-1] == "--svg" else []
+    outs = []
+    for flags in ([], ["-X", "int_max_str_digits=640"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "gamma0", *argv, *svg],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs.append(proc.stdout + (Path(svg[0]).read_bytes() if svg else b""))
+    assert outs[0] == outs[1]
+    assert len(outs[0]) > 10_000
+
+
+@needs_digit_limit
+def test_main_restores_the_callers_digit_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert run_cli(capsys, "invariants", "17")[0] == 0
+        assert sys.get_int_max_str_digits() == 640
+        assert run_cli(capsys, "sweep", "9", "5")[0] == 2  # an error return restores it too
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 NO_NUMPY = """
 import sys
 

@@ -31,7 +31,7 @@ from gamma0.polygon import (
 )
 from gamma0.psl2 import act, in_gamma0, inverse
 from gamma0.triples import build_optimal_polygon, build_twin_polygon
-from polygon_reference import transport_side_pairing
+from polygon_reference import reference_partners, transport_side_pairing
 
 
 # --- construction and validation ---
@@ -72,6 +72,51 @@ def test_polygon_rejects_malformed_pair_labels(cusps, labels):
     # accepted, these labels would break partner lookups and side pairings later
     with pytest.raises(ValueError):
         polygon_from_json({"n": 5, "cusps": cusps, "labels": labels})
+
+
+@pytest.mark.parametrize(
+    "data,field",
+    [
+        ({"n": 5, "cusps": ["1/0", "0/1", "1/1"]}, "labels"),
+        ({"n": 5, "cusps": ["1/0", "0/1", "1/1"], "labels": 7}, "labels"),
+        ([5, ["1/0", "0/1", "1/1"], [1, -4, 1]], "n"),
+        ({"n": None, "cusps": ["1/0", "0/1", "1/1"], "labels": [1, -4, 1]}, "n"),
+    ],
+)
+def test_polygon_from_json_names_the_malformed_field(data, field):
+    with pytest.raises(ValueError, match=f"polygon field '{field}'"):
+        polygon_from_json(data)
+
+
+_MISLABELLED = [
+    # the side from 0 to 1 is free at level 7, not even
+    (7, (INF, ZERO, ONE), (1, -2, 1), "side 1 has label -2, but the cusps make it free"),
+    # grow_maximal(8) glues sides 1, 2 and sides 3, 4: a swapped pairing
+    (8, grow_maximal(8).cusps, (1, 2, 3, 3, 2, 1), "side 2 has label 3, but the cusps make it glued to side 1"),
+    (8, grow_maximal(8).cusps, (1, -4, -4, -4, -4, 1), "side 1 has label -4, but the cusps make it glued to side 2"),
+]
+
+
+@pytest.mark.parametrize("n,cusps,labels,message", _MISLABELLED)
+def test_polygon_rejects_labels_that_contradict_the_cusps(n, cusps, labels, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LabeledPolygon(n, cusps, labels)
+    data = {"n": n, "cusps": [str(c) for c in cusps], "labels": list(labels)}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        polygon_from_json(data)
+
+
+def test_label_errors_name_one_side_only():
+    # a polygon may have 10⁵ sides: the message names the first that differs
+    P = grow_maximal(1950)
+    labels = list(P.labels)
+    labels[-2] = EVEN if labels[-2] != EVEN else ODD
+    with pytest.raises(ValueError) as info:
+        LabeledPolygon(P.n, P.cusps, tuple(labels))
+    assert str(info.value).startswith(f"side {len(P) - 2} has label ")
+    assert len(str(info.value)) < 80
+    with pytest.raises(ValueError, match="^need exactly one label per side: 3 sides, 2 labels$"):
+        LabeledPolygon(2, (INF, ZERO, ONE), (1, -2))
 
 
 def test_pair_indices_may_come_in_any_order():
@@ -126,10 +171,10 @@ _CLASSIFIED_POLYGONS = {
 @pytest.mark.parametrize("family", _CLASSIFIED_POLYGONS)
 def test_classified_polygons_keep_the_partner_table_of_their_labels(family):
     # the table kept from the gluing pass is the one the labels describe,
-    # and the one a polygon read back from its JSON parses out of them
+    # and the one a polygon read back from its JSON checks them against
     count = 0
     for P in _CLASSIFIED_POLYGONS[family]():
-        assert P._mates == polygon_module._partner_table(P.labels), (family, P.n)
+        assert P._mates == reference_partners(P.labels), (family, P.n)
         assert polygon_from_json(P.to_json())._mates == P._mates, (family, P.n)
         count += 1
     assert count > 20

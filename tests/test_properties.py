@@ -1,7 +1,9 @@
 """Property-based checks over randomized levels, pairs, and polygons."""
 
+import re
 from math import gcd, isqrt
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gamma0.farey import (
@@ -28,8 +30,8 @@ from gamma0.polygon import (
     FREE,
     ODD,
     VERTICAL,
+    LabeledPolygon,
     _classify_all,
-    _partner_table,
     classify_side,
     grow_maximal,
     polygon_from_cusps,
@@ -38,6 +40,7 @@ from gamma0.polygon import (
 )
 from gamma0.psl2 import act, edge_transport, in_gamma0, inverse
 from gamma0.triples import canonical_triples
+from polygon_reference import reference_partners
 
 
 levels = st.integers(min_value=2, max_value=150)
@@ -257,5 +260,26 @@ def test_classified_partner_table_matches_the_labels(n, cusps):
     # these cusp lists need not be legal polygons, so sides may share a
     # pairing key and reach the FIFO queue of the gluing pass
     P = polygon_from_cusps(n, cusps)
-    assert P._mates == _partner_table(P.labels)
+    assert P._mates == reference_partners(P.labels)
     assert polygon_from_json(P.to_json())._mates == P._mates
+
+
+@settings(max_examples=300, deadline=None)
+@given(composite_levels(), random_farey_polygons(), st.randoms(use_true_random=False))
+def test_labels_are_checked_against_the_gluing_pass(n, cusps, rng):
+    # as above, sides may share a pairing key and reach the FIFO queue
+    P = polygon_from_cusps(n, cusps)
+    pair_indices = sorted({lab for lab in P.labels if lab >= 2})
+    renumbering = dict(zip(pair_indices, rng.sample(range(2, 10 * len(P)), len(pair_indices))))
+    Q = LabeledPolygon(n, cusps, tuple(renumbering.get(lab, lab) for lab in P.labels))
+    assert Q._mates == P._mates
+    # any other allowed value on one interior side contradicts the cusps
+    i = rng.randrange(1, len(P) - 1)
+    other = rng.choice([lab for lab in (EVEN, ODD, FREE, *pair_indices, len(P)) if lab != P.labels[i]])
+    labels = list(P.labels)
+    labels[i] = other
+    with pytest.raises(ValueError) as info:
+        LabeledPolygon(n, cusps, tuple(labels))
+    # the sides left of i still match; a changed pair index may first show
+    # further right, where the renumbering of the given labels goes astray
+    assert int(re.match(r"side (\d+) has label ", str(info.value)).group(1)) >= i
