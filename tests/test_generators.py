@@ -1,12 +1,16 @@
 """Independent generating systems and their verification."""
 
 import dataclasses
+import os
 import pickle
-from sys import modules
+import subprocess
+from sys import executable, modules
 
 import pytest
 
+import gamma0
 from gamma0.cli import main
+from gamma0.farey import Frac
 from gamma0.generators import (
     GeneratingSystem,
     Generator,
@@ -19,8 +23,12 @@ from gamma0.polygon import (
     EVEN,
     GROWTH_STRATEGIES,
     ODD,
+    LabeledPolygon,
     base_polygon,
     grow_maximal,
+    is_maximal,
+    polygon_from_cusps,
+    polygon_from_json,
     side_pairing_system,
 )
 from gamma0.psl2 import Mat, S, T, inverse
@@ -42,6 +50,47 @@ def test_independent_system_counts(n):
 def test_independent_system_needs_maximal_polygon():
     with pytest.raises(ValueError):
         independent_system(base_polygon(5))
+
+
+# glued all round, so maximal, but with more than u(n) triangles
+_OVERSIZED = [
+    (2, ["1/0", "0/1", "1/2", "1/1"], 2, 1),
+    (4, ["1/0", "0/1", "1/2", "2/3", "3/4", "1/1"], 4, 2),
+    (5, ["1/0", "0/1", "1/2", "3/5", "2/3", "1/1"], 4, 2),
+]
+
+
+@pytest.mark.parametrize("n,cusps,triangles,u", _OVERSIZED)
+def test_independent_system_refuses_more_than_u_triangles(n, cusps, triangles, u):
+    P = polygon_from_cusps(n, map(Frac.parse, cusps))
+    assert is_maximal(P) and group_invariants(n).u == u
+    for Q in (P, LabeledPolygon(n, P.cusps, P.labels), polygon_from_json(P.to_json())):
+        with pytest.raises(ValueError) as info:
+            independent_system(Q)
+        assert str(info.value) == f"polygon has {triangles} triangles, but Gamma0({n}) needs u(n) = {u}"
+
+
+_OVERSIZED_AT_2 = """
+from gamma0.farey import Frac
+from gamma0.generators import independent_system
+from gamma0.polygon import polygon_from_cusps
+try:
+    independent_system(polygon_from_cusps(2, map(Frac.parse, ["1/0", "0/1", "1/2", "1/1"])))
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_oversized_polygon_check_runs_under_python_dash_O():
+    # python -O strips asserts; at n = 2 the system would otherwise be two
+    # infinite-order generators where Gamma0(2) has one of order 2
+    src = os.path.dirname(os.path.dirname(gamma0.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [executable, "-O", "-c", _OVERSIZED_AT_2], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "polygon has 2 triangles, but Gamma0(2) needs u(n) = 1\n"
 
 
 def test_small_systems_verbatim():

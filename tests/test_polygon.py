@@ -316,6 +316,25 @@ def test_growth_outputs_match_their_recorded_digest():
     assert h.hexdigest() == "f7099d07a80de45344bd047bf5cebf10b708f614f711b29caa477b0370266078"
 
 
+# sha256 of the JSON of the polygons grown under both strategies at every
+# level in [4, 600] that is neither a prime nor a prime square (481 levels),
+# and by leftmost growth at 1950 and 9240, whose denominators reach 139 and
+# 706 digits
+GROWN_POLYGON_DIGEST = "58b80ea37b8e40fa7cacb30571f7276ec9f5d210d027b70eff31a380204de85e"
+
+
+def test_grown_polygons_match_their_recorded_digest():
+    h = hashlib.sha256()
+    levels = [n for n in range(4, 601) if not prime_or_prime_square(n)]
+    assert len(levels) == 481
+    for n in levels:
+        for strategy in GROWTH_STRATEGIES:
+            h.update(json.dumps(grow_maximal(n, strategy).to_json()).encode())
+    for n in (1950, 9240):
+        h.update(json.dumps(grow_maximal(n).to_json()).encode())
+    assert h.hexdigest() == GROWN_POLYGON_DIGEST
+
+
 @pytest.mark.parametrize("strategy", GROWTH_STRATEGIES)
 @pytest.mark.parametrize("n", [2, 8, 17, 60, 144])
 def test_growth_classifies_once(monkeypatch, strategy, n):
