@@ -11,7 +11,7 @@ generators, v3 order-3, and 2·genus + v_inf − 1 of infinite order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .invariants import GroupInvariants, group_invariants
 from .polygon import EVEN, ODD, LabeledPolygon, _side_transport, is_maximal
@@ -117,13 +117,7 @@ class VerificationReport:
         self.failures.append(msg)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "ok": self.ok,
-            "failures": self.failures,
-            "counts": self.counts,
-            "entries": self.entries,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # the order each side kind demands of its generator

@@ -1,11 +1,11 @@
 """Closed-form invariants of Gamma0(n) and the certified exact m.
 
-The classical formulas: the index of Gamma0(n) in PSL(2,Z) is
-n·∏_{p|n}(1+1/p); the cusp count is v∞(n) = Σ_{d|n} φ(gcd(d, n/d)); the
-order-2 and order-3 fixed point counts v2, v3 are multiplicative with the
-usual local factors; the genus comes out of Riemann-Hurwitz.  u(n) =
-(index − v3)/3 is the number of ideal triangles in any maximal polygon,
-equivalently its cusp count minus 2.
+The classical formulas: the index n·∏_{p|n}(1+1/p) of Gamma0(n) in
+PSL(2,Z), the cusp count v∞(n) = Σ_{d|n} φ(gcd(d, n/d)) (the tests'
+reference) and the order-2 and order-3 fixed point counts v2, v3 are each a
+product of local factors, read off one factorisation of n; the genus comes
+out of Riemann-Hurwitz.  u(n) = (index − v3)/3 is the number of ideal
+triangles in any maximal polygon, equivalently its cusp count minus 2.
 
 m(Gamma0(n)) is the smallest possible value of the largest cusp denominator
 over all maximal polygons.  ``m_exact_search`` certifies it as one ladder:
@@ -47,7 +47,7 @@ asks ``m_bounds`` about the levels of the rest.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate
 from math import gcd, inf, isqrt
 
@@ -73,7 +73,7 @@ def is_prime(n: int) -> bool:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division (fine at the scales used here)."""
-    if n < 1:
+    if not isinstance(n, int) or n < 1:  # a float would factorise into nonsense
         raise ValueError("factorize needs a positive integer")
     out: dict[int, int] = {}
     for p in (2, 3):
@@ -172,46 +172,29 @@ class GroupInvariants:
     u: int
 
     def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "v_inf": self.v_inf,
-            "v2": self.v2,
-            "v3": self.v3,
-            "genus": self.genus,
-            "u": self.u,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def group_invariants(n: int) -> GroupInvariants:
-    """All six closed-form invariants; genus is cross-checked for integrality."""
+    """All six closed-form invariants; genus is cross-checked for integrality.
+
+    The local factors at p^e ‖ n: p^e + p^(e−1) for the index; for v∞,
+    Σ_{k≤e} φ(p^min(k, e−k)), which is 2p^f at e = 2f + 1 and p^f + p^(f−1)
+    at e = 2f; 2, 1 or 0 by p mod 4 for v2 and by p mod 3 for v3.
+    """
     if n < 2:
         raise ValueError("level must be at least 2")
-    fac = factorize(n)
-    index = n
-    for p in fac:
-        index = index // p * (p + 1)
-    v_inf = sum(euler_phi(gcd(d, n // d)) for d in divisors(n))
-
+    index = v_inf = v2 = v3 = 1
+    for p, e in factorize(n).items():
+        f = e // 2
+        index *= p**e + p ** (e - 1)
+        v_inf *= 2 * p**f if e % 2 else p**f + p ** (f - 1)
+        v2 *= {1: 2, 3: 0}.get(p % 4, 1)
+        v3 *= {1: 2, 2: 0}.get(p % 3, 1)
     if n % 4 == 0:
         v2 = 0
-    else:
-        v2 = 1
-        for p in fac:
-            if p % 4 == 3:
-                v2 = 0
-                break
-            if p % 4 == 1:
-                v2 *= 2
     if n % 9 == 0:
         v3 = 0
-    else:
-        v3 = 1
-        for p in fac:
-            if p % 3 == 2:
-                v3 = 0
-                break
-            if p % 3 == 1:
-                v3 *= 2
 
     twelve_genus = index + 12 - 6 * v_inf - 4 * v3 - 3 * v2
     if twelve_genus % 12 != 0 or twelve_genus < 0:

@@ -62,7 +62,8 @@ class LabeledPolygon:
     """An ideal polygon with classified sides (a Farey symbol when maximal).
 
     The labels must name the gluing of the cusps; pair indices may come in
-    any order and are compared after renumbering by first appearance.
+    any order and are compared after renumbering by first appearance.  The
+    cusps and labels are kept as tuples, whatever sequences they came in.
     """
 
     n: int
@@ -75,6 +76,8 @@ class LabeledPolygon:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("level must be at least 2")
+        object.__setattr__(self, "cusps", tuple(self.cusps))
+        object.__setattr__(self, "labels", tuple(self.labels))
         _check_cusps(self.cusps)
         labels, mates = _classify_all(self.n, self.cusps)
         m, given = len(labels), self.labels
@@ -136,10 +139,17 @@ class LabeledPolygon:
         }
 
 
+def _json_int(value) -> int:
+    """value itself if it is a JSON integer; a float, bool or str is refused, not truncated."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def polygon_from_json(data: dict) -> LabeledPolygon:
     """Read back ``to_json``; a malformed document raises ValueError naming the field."""
     fields = []
-    for name, read in (("n", int), ("cusps", Frac.parse), ("labels", int)):
+    for name, read in (("n", _json_int), ("cusps", Frac.parse), ("labels", _json_int)):
         try:
             value = data[name]
             fields.append(read(value) if name == "n" else tuple(map(read, value)))

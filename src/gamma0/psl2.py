@@ -105,35 +105,22 @@ def norm_stats(g: Mat) -> tuple[int, int]:
     return abs(g.a + g.d), g.a * g.a + g.b * g.b + g.c * g.c + g.d * g.d
 
 
-def _column_matrix(x: Frac, y: Frac) -> tuple[int, int, int, int]:
-    # Columns are the primitive integer vectors (num, den) of the two cusps;
-    # den >= 0 already holds for reduced fractions.
-    return x.num, y.num, x.den, y.den
-
-
 def edge_transport(src: tuple[Frac, Frac], dst: tuple[Frac, Frac]) -> Mat:
     """The unique PSL(2,Z) element sending src to dst endpoint-by-endpoint.
 
     src and dst must be Farey pairs.  Writing A and B for the matrices whose
-    columns are the endpoint vectors, the element is B·A^-1, with the first
-    column of B negated when the two determinants disagree (so the product
-    has determinant 1 before sign normalization).
+    columns are the endpoint vectors (num, den) of the cusps, the element
+    is B·A^-1, with the first column of B negated when the two determinants
+    disagree (so the product has determinant 1 before sign normalization).
     """
     if not is_farey_pair(*src) or not is_farey_pair(*dst):
         raise ValueError("edge_transport needs two Farey pairs")
-    a1, a2, a3, a4 = _column_matrix(*src)
-    b1, b2, b3, b4 = _column_matrix(*dst)
+    a1, a2, a3, a4 = src[0].num, src[1].num, src[0].den, src[1].den
+    b1, b2, b3, b4 = dst[0].num, dst[1].num, dst[0].den, dst[1].den
     det_a = a1 * a4 - a2 * a3
     det_b = b1 * b4 - b2 * b3
     if det_a != det_b:
         b1, b3 = -b1, -b3
-    # B times the adjugate of A, divided by det A (= ±1).
-    m = (
-        b1 * a4 - b2 * a3,
-        -b1 * a2 + b2 * a1,
-        b3 * a4 - b4 * a3,
-        -b3 * a2 + b4 * a1,
-    )
-    if det_a == -1:
-        m = tuple(-v for v in m)
-    return Mat(*m)
+    # B times the adjugate of A; dividing by det A = ±1 would only flip the
+    # sign, which Mat normalizes away.
+    return Mat(b1 * a4 - b2 * a3, b2 * a1 - b1 * a2, b3 * a4 - b4 * a3, b4 * a1 - b3 * a2)

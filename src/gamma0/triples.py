@@ -30,7 +30,7 @@ triple.  The tests keep the plain scans as references.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import gcd, isqrt
 
 from .farey import Frac, farey_sequence
@@ -272,14 +272,9 @@ def _free_head_sums(n: int) -> range:
     return range(isqrt(n) + 1, cashew_ceiling(n) + 1)
 
 
-def _free_side_triples(n: int):
-    """Flat tuples of the canonical triples with head sum > √n."""
-    return (t for _, found in _head_scan([n], _free_head_sums) for t in found)
-
-
-def _triples_at(n: int, head_sum: int):
-    """Flat tuples of the canonical triples with the given head sum."""
-    return (t for _, found in _head_scan([n], lambda _: (head_sum,)) for t in found)
+def _triples(n: int, head_sums):
+    """Flat tuples of the canonical triples of level n with head sums in head_sums(n)."""
+    return (t for _, found in _head_scan([n], head_sums) for t in found)
 
 
 def canonical_triples(n: int, head_sum: int | None = None) -> list[FareyTriple]:
@@ -294,7 +289,7 @@ def canonical_triples(n: int, head_sum: int | None = None) -> list[FareyTriple]:
         raise ValueError("level must be at least 2")
     if head_sum is not None and head_sum < 2:
         return []
-    found = _free_side_triples(n) if head_sum is None else _triples_at(n, head_sum)
+    found = _triples(n, _free_head_sums if head_sum is None else lambda _: (head_sum,))
     return [FareyTriple(((a0, b0), (a1, b1), (a2, b2))) for a0, b0, a1, b1, a2, b2 in found]
 
 
@@ -342,7 +337,7 @@ class CashewCertificate:
         return FareyTriple(((a - b, b), (s, t), (a - t, s + t - a + b)))
 
     def to_json(self) -> dict:
-        return {"s": self.s, "t": self.t, "a": self.a, "b": self.b}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def cashew_ceiling(n: int) -> int:
@@ -365,7 +360,7 @@ def cashew_certificates(n: int) -> list[CashewCertificate]:
     a = cashew_ceiling(n)
     certs = [
         CashewCertificate(s=s, t=t, a=a, b=b)
-        for _, b, s, t, _, _ in _triples_at(n, a)
+        for _, b, s, t, _, _ in _triples(n, lambda _: (a,))
         if t >= b
     ]
     return sorted(certs, key=lambda c: (-c.s, c.t))
@@ -387,7 +382,7 @@ def _resolved(n: int, splits: dict[Pair, int]) -> LabeledPolygon:
     maximal with u(n) triangles (``polygon._check_maximal``) and all its
     denominators are ≤ the upper bound of ``m_bounds``.
     """
-    splits = dict.fromkeys(((t[0], t[1]) for t in _free_side_triples(n)), 1) | splits
+    splits = dict.fromkeys(((t[0], t[1]) for t in _triples(n, _free_head_sums)), 1) | splits
     seq = farey_sequence(isqrt(n))
     cusps = seq[:2]
     for y in seq[2:]:

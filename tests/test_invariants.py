@@ -5,6 +5,8 @@ solution counting for the elliptic point numbers, unimodular-pair counting
 for the index, and triangle counting on grown polygons for u(n).
 """
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -67,6 +69,9 @@ def test_factorize():
     assert factorize(1) == {}
     assert factorize(12) == {2: 2, 3: 1}
     assert factorize(97) == {97: 1}
+    for bad in (0, 12.0, 8.5):
+        with pytest.raises(ValueError, match="positive integer"):
+            factorize(bad)
     assert factorize(2 * 2 * 3 * 7 * 7 * 13) == {2: 2, 3: 1, 7: 2, 13: 1}
     for n in range(1, 300):
         prod = 1
@@ -184,6 +189,54 @@ def test_u_counts_polygon_triangles(n):
     # a maximal polygon with c cusps consists of c - 2 ideal triangles
     P = grow_maximal(n)
     assert group_invariants(n).u == len(P.cusps) - 2
+
+
+# recorded while v∞ was still the divisor sum in the library: the invariants
+# of every level in [2, 20000], one JSON document per level
+INVARIANTS_DIGEST = "86ea5e9939d805c81ca7277a23d2fa70d448b0c19684992c3f1d3a78e645f373"
+
+
+def test_invariants_are_byte_identical_to_20000():
+    digest = hashlib.sha256()
+    for n in range(2, 20001):
+        digest.update(json.dumps(group_invariants(n).to_json()).encode())
+    assert digest.hexdigest() == INVARIANTS_DIGEST
+
+
+def reference_v_inf(n):
+    """The cusp count as the classical divisor sum Σ_{d|n} φ(gcd(d, n/d))."""
+    return sum(euler_phi(gcd(d, n // d)) for d in divisors(n))
+
+
+@pytest.mark.parametrize("n", [720720, 2**30, 3**19, 2**4 * 3**4 * 5**2 * 7**2, 10**12 + 39])
+def test_cusp_count_is_the_divisor_sum(n):
+    assert group_invariants(n).v_inf == reference_v_inf(n)
+
+
+def counting_factorize(monkeypatch):
+    """Count the calls to ``invariants.factorize`` from here on."""
+    calls = []
+
+    def factorize_counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(invariants, "factorize", factorize_counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 97, 720720, 2**30, 10**13 + 37])
+def test_invariants_factorise_the_level_once(monkeypatch, n):
+    calls = counting_factorize(monkeypatch)
+    group_invariants(n)
+    assert calls == [n]
+
+
+@pytest.mark.parametrize("n,most", [(10007, 2), (10**9 + 7, 2), (720720, 3)])
+def test_m_bounds_factorises_the_level_at_most_three_times(monkeypatch, n, most):
+    calls = counting_factorize(monkeypatch)
+    m_bounds(n)
+    assert len(calls) <= most, calls
 
 
 # --- totient summatory and the equality list ---

@@ -29,6 +29,7 @@ from gamma0.polygon import (
     polygon_from_json,
     side_pairing_system,
 )
+from gamma0.generators import independent_system, verify_system
 from gamma0.psl2 import act, in_gamma0, inverse
 from gamma0.triples import build_optimal_polygon, build_twin_polygon
 from polygon_reference import reference_partners, transport_side_pairing
@@ -81,6 +82,15 @@ def test_polygon_rejects_malformed_pair_labels(cusps, labels):
         ({"n": 5, "cusps": ["1/0", "0/1", "1/1"], "labels": 7}, "labels"),
         ([5, ["1/0", "0/1", "1/1"], [1, -4, 1]], "n"),
         ({"n": None, "cusps": ["1/0", "0/1", "1/1"], "labels": [1, -4, 1]}, "n"),
+        # a level or label that is not a JSON integer is refused, not truncated
+        ({"n": 5.5, "cusps": ["1/0", "0/1", "1/1"], "labels": [1, -4, 1]}, "n"),
+        ({"n": 5.0, "cusps": ["1/0", "0/1", "1/1"], "labels": [1, -4, 1]}, "n"),
+        ({"n": "5", "cusps": ["1/0", "0/1", "1/1"], "labels": [1, -4, 1]}, "n"),
+        ({"n": True, "cusps": ["1/0", "0/1", "1/1"], "labels": [1, -4, 1]}, "n"),
+        ({"n": 5, "cusps": ["1/0", "0/1", "1/1"], "labels": [1.9, -4, 1]}, "labels"),
+        ({"n": 5, "cusps": ["1/0", "0/1", "1/1"], "labels": [1, -4.0, 1]}, "labels"),
+        ({"n": 5, "cusps": ["1/0", "0/1", "1/1"], "labels": [1, "-4", 1]}, "labels"),
+        ({"n": 5, "cusps": ["1/0", "0/1", "1/1"], "labels": [True, -4, 1]}, "labels"),
     ],
 )
 def test_polygon_from_json_names_the_malformed_field(data, field):
@@ -117,6 +127,17 @@ def test_label_errors_name_one_side_only():
     assert len(str(info.value)) < 80
     with pytest.raises(ValueError, match="^need exactly one label per side: 3 sides, 2 labels$"):
         LabeledPolygon(2, (INF, ZERO, ONE), (1, -2))
+
+
+def test_polygon_keeps_tuples_of_the_callers_lists():
+    P = grow_maximal(8)
+    labels = list(P.labels)
+    Q = LabeledPolygon(8, list(P.cusps), labels)
+    assert type(Q.cusps) is tuple and type(Q.labels) is tuple
+    assert Q == P and hash(Q) == hash(P)
+    labels[1] = EVEN  # the caller's list may change; the checked polygon may not
+    assert Q.labels == P.labels
+    assert verify_system(independent_system(Q)).ok
 
 
 def test_pair_indices_may_come_in_any_order():
