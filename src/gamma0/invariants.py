@@ -14,10 +14,11 @@ It starts at ⌊√n⌋ and rises to the cusp divisor bound: Γ₀(n) preserves
 gcd(y, n) for a cusp x/y and every cusp class is a vertex of every maximal
 polygon, so the class with gcd(y, n) = n/p, p the least prime of n, gives
 d(n) = n/p ≤ m.  The witness is an upper bound: ``triples._witness`` builds
-the optimal, twin or smallest-mediant polygon, which its builder checks to
-be maximal with u(n) + 2 cusps, so its largest denominator w is admissible.
-The ladder keeps only w and the peak sides, the sides (a, b) under the
-witness's cusps of denominator w; it never holds the polygon.  The orbit
+the boundary of the optimal, twin or smallest-mediant polygon on ints,
+which ``polygon._assemble`` checks to be maximal with u(n) + 2 cusps, so
+its largest denominator w is admissible.  The ladder reads only w and the
+peak sides, the sides (a, b) under the witness's cusps of denominator w,
+off the checked denominators; it never makes the polygon.  The orbit
 check lifts the floor to w.  Its proof is a count: a maximal polygon holds
 one Farey triangle from each of the u(n) orbits with trivial stabiliser,
 and each triangle but the base one has its largest denominator at its
@@ -102,9 +103,11 @@ def _key_function(n: int):
     exactly when they are the same point.  Side (c, d) glues to side (a, b)
     iff ``key(c, d) == key(-b, a)``.  n is factorised once per closure, and
     each closure inverts a residue once: a dict per prime power keeps the
-    inverses it has computed, for as long as the closure lives.  The optimal
-    and twin polygons have denominators ≤ ⌊√(4n/3)⌋, so their keys need
-    O(√n) inversions instead of two per side.
+    inverses it has computed, for as long as the closure lives.  Growth, the
+    orbit check and the gap search key every side with it.  The gluing pass
+    ``polygon._classify_all`` keys a side whose denominators are both units
+    mod n by its slope b·a⁻¹ mod n instead, and only the other sides by this
+    key, offset past n so that the two kinds never meet.
     """
     powers = tuple((p, p**e, {}) for p, e in factorize(n).items())
 
@@ -144,13 +147,21 @@ def divisors(n: int) -> list[int]:
 
 
 def prime_or_prime_square(n: int) -> bool:
-    fac = factorize(n)
+    return _prime_or_prime_square(factorize(n))
+
+
+def _prime_or_prime_square(fac: dict[int, int]) -> bool:
+    """``prime_or_prime_square`` of the level whose factorisation is fac."""
     return len(fac) == 1 and next(iter(fac.values())) <= 2
 
 
 def twin_factors(n: int) -> tuple[int, int] | None:
     """(p, q) if n = pq with p < q odd primes and √q − √p < √2, else None."""
-    fac = factorize(n)
+    return _twin_factors(factorize(n))
+
+
+def _twin_factors(fac: dict[int, int]) -> tuple[int, int] | None:
+    """``twin_factors`` of the level whose factorisation is fac."""
     if len(fac) != 2 or set(fac.values()) != {1}:
         return None
     p, q = sorted(fac)
@@ -184,8 +195,13 @@ def group_invariants(n: int) -> GroupInvariants:
     """
     if n < 2:
         raise ValueError("level must be at least 2")
+    return _group_invariants(n, factorize(n))
+
+
+def _group_invariants(n: int, fac: dict[int, int]) -> GroupInvariants:
+    """``group_invariants`` of the level n ≥ 2 whose factorisation is fac."""
     index = v_inf = v2 = v3 = 1
-    for p, e in factorize(n).items():
+    for p, e in fac.items():
         f = e // 2
         index *= p**e + p ** (e - 1)
         v_inf *= 2 * p**f if e % 2 else p**f + p ** (f - 1)
@@ -250,8 +266,11 @@ def m_bounds(n: int) -> tuple[int, bool, int | None]:
     (⌊√(4n/3)⌋, from the triple construction) or an eligible product of two
     close odd primes (max(⌊√(4n/3)⌋, q)); otherwise None is returned.
     """
-    lower, _, lower_is_exact = _lower_bound(n, group_invariants(n).u)
-    return lower, lower_is_exact, _upper_bound(n)
+    if n < 2:
+        raise ValueError("level must be at least 2")
+    fac = factorize(n)  # the one factorisation both bounds read
+    lower, _, lower_is_exact = _lower_bound(n, _group_invariants(n, fac).u)
+    return lower, lower_is_exact, _upper_bound(n, fac)
 
 
 def _lower_bound(n: int, u: int) -> tuple[int, int, bool]:
@@ -261,12 +280,16 @@ def _lower_bound(n: int, u: int) -> tuple[int, int, bool]:
     return lower, phi, u == phi
 
 
-def _upper_bound(n: int) -> int | None:
-    """The upper bound of ``m_bounds``, which needs no invariant of the group."""
+def _upper_bound(n: int, fac: dict[int, int] | None = None) -> int | None:
+    """The upper bound of ``m_bounds``, which needs no invariant of the group.
+
+    fac is the factorisation of n, made here when it is not given.
+    """
+    fac = factorize(n) if fac is None else fac
     ceiling = isqrt(4 * n // 3)
-    if prime_or_prime_square(n):
+    if _prime_or_prime_square(fac):
         return ceiling
-    if (tw := twin_factors(n)) is not None:
+    if (tw := _twin_factors(fac)) is not None:
         return max(ceiling, tw[1])
     return None
 

@@ -25,9 +25,20 @@ there (modulo each prime power of n the solutions of ax+by ≡ 0 are the
 multiples of (−b, a)).  ``_key_function`` names that point, so finding a
 partner is one dict lookup instead of a scan over the boundary, and all
 arithmetic stays on exact Python ints whatever the size of the denominators.
-Every polygon keeps the partner table that one pass of lookups fills, and a
+The one gluing pass, ``_classify_all``, runs on the cusp denominators: it
+keys a side whose denominators are both units mod n by its slope, one
+product with an inverse it keeps for the pass, and any other side by that
+point's key.  Every polygon keeps the partner table the pass fills, and a
 polygon whose labels come from outside is accepted only if they name the
 gluing that pass finds.
+
+Every maximal-polygon builder (growth here, the optimal and twin builds in
+``triples``) hands its boundary over as two int lists, numerators and
+denominators, to one function, ``_assemble``: it checks the Farey pairs on
+ints, runs the gluing pass and checks maximality and the u(n) + 2 cusps.
+Frac cusps and the ``LabeledPolygon`` are made once, and only where the
+public API returns a polygon; cusp lists from outside go through the same
+check and gluing pass.
 """
 
 from __future__ import annotations
@@ -35,6 +46,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
+from math import gcd
 
 from .farey import Frac, INF, ZERO, ONE, mediant
 from .invariants import _key_function, group_invariants
@@ -47,14 +60,24 @@ FREE = -4
 _KINDS = {VERTICAL: "vertical", EVEN: "even", ODD: "odd", FREE: "free"}
 
 
-def _check_cusps(c: tuple[Frac, ...]) -> None:
-    """Raise ValueError unless c runs [∞, 0, ..., 1] through Farey pairs."""
-    if len(c) < 3 or c[0] != INF or c[1] != ZERO or c[-1] != ONE:
+def _check_boundary(nums: list[int], dens: list[int]) -> None:
+    """Raise ValueError unless the cusps nums[i]/dens[i] run [∞, 0, ..., 1]
+    through Farey pairs."""
+    if len(dens) < 3 or (nums[0], dens[0], nums[1], dens[1], nums[-1], dens[-1]) != (1, 0, 0, 1, 1, 1):
         raise ValueError("cusps must run [∞, 0, ..., 1]")
-    for x, y in zip(c[1:], c[2:]):
-        # finite x < y span a Farey edge iff their determinant is exactly 1
-        if y.den == 0 or x.den * y.num - x.num * y.den != 1:
-            raise ValueError(f"cusps {x}, {y} do not form an increasing Farey pair")
+    x, a = 0, 1  # the cusp 0/1
+    for y, b in zip(islice(nums, 2, None), islice(dens, 2, None)):
+        # finite x/a < y/b span a Farey edge iff their determinant is exactly 1
+        if b == 0 or a * y - x * b != 1:
+            raise ValueError(f"cusps {x}/{a}, {y}/{b} do not form an increasing Farey pair")
+        x, a = y, b
+
+
+def _check_cusps(c: tuple[Frac, ...]) -> list[int]:
+    """Check the Frac cusps c as ``_check_boundary`` does; return their denominators."""
+    dens = [x.den for x in c]
+    _check_boundary([x.num for x in c], dens)
+    return dens
 
 
 @dataclass(frozen=True)
@@ -78,8 +101,7 @@ class LabeledPolygon:
             raise ValueError("level must be at least 2")
         object.__setattr__(self, "cusps", tuple(self.cusps))
         object.__setattr__(self, "labels", tuple(self.labels))
-        _check_cusps(self.cusps)
-        labels, mates = _classify_all(self.n, self.cusps)
+        labels, mates = _classify_all(self.n, _check_cusps(self.cusps))
         m, given = len(labels), self.labels
         if len(given) != m:
             raise ValueError(f"need exactly one label per side: {m} sides, {len(given)} labels")
@@ -181,8 +203,11 @@ def classify_side(
     return "free", None
 
 
-def _classify_all(n: int, cusps: tuple[Frac, ...]) -> tuple[list[int], list[int]]:
+def _classify_all(n: int, dens) -> tuple[list[int], list[int]]:
     """Labels and partner table (as ``LabeledPolygon._mates``) of every side.
+
+    dens lists the cusp denominators, 0 for ∞ first, as the cusps of a
+    polygon run.
 
     Partners are matched greedily left to right: a free side takes the
     lowest-index free side it glues to (the candidates are interchangeable).
@@ -196,23 +221,36 @@ def _classify_all(n: int, cusps: tuple[Frac, ...]) -> tuple[list[int], list[int]
     ``waiting`` when its predecessor is taken.  Each gluing goes into
     ``mates`` at once.  Each cusp denominator is reduced mod n once, for the
     two sides that share the cusp.
+
+    A side (a, b) whose denominators are both units mod n is the point
+    (1 : b·a⁻¹), and its partner (−b : a) is (1 : −a·b⁻¹): such a side is
+    keyed by its slope, own key b·a⁻¹ and partner key −a·b⁻¹ mod n, from one
+    inverse per distinct denominator residue, kept for the pass.  Any other
+    side takes ``_key_function``'s key, offset by n.  Whether both
+    coordinates are units is a property of the point, shared by a side and
+    its partner, so the two kinds of key never meet.
     """
     key = _key_function(n)
-    m = len(cusps)
+    m = len(dens)
     labels = [VERTICAL] + [FREE] * (m - 2) + [VERTICAL]
     mates = [m - 1] + [-1] * (m - 2) + [0]
     waiting: dict[int, int] = {}  # pairing key -> the oldest side waiting under it
     queued: dict[int, deque[int]] = {}  # pairing key -> the later sides under it, oldest first
-    b = 1  # cusps[1] is 0/1
-    for i in range(1, m - 1):
-        a, b = b, cusps[i + 1].den % n
+    inverses: dict[int, int] = {}  # residue mod n -> its inverse, 0 for a non-unit
+    b = ib = 1  # dens[1] is the denominator of 0/1
+    for i, b_next in enumerate(islice(dens, 2, None), 1):
+        a, ia, b = b, ib, b_next % n
+        ib = inverses.get(b)
+        if ib is None:
+            ib = inverses[b] = pow(b, -1, n) if gcd(b, n) == 1 else 0
         aa_bb = a * a + b * b
         if aa_bb % n == 0:
             labels[i], mates[i] = EVEN, i
         elif (aa_bb + a * b) % n == 0:
             labels[i], mates[i] = ODD, i
         else:
-            k = key(-b, a)
+            units = ia and ib
+            k = -a * ib % n if units else n + key(-b, a)
             j = waiting.pop(k, None)
             if j is not None:
                 mates[i], mates[j] = j, i
@@ -222,7 +260,7 @@ def _classify_all(n: int, cusps: tuple[Frac, ...]) -> tuple[list[int], list[int]
                     if not later:
                         del queued[k]
             else:
-                k = key(a, b)
+                k = b * ia % n if units else n + key(a, b)
                 if k in waiting:
                     queued.setdefault(k, deque()).append(i)
                 else:
@@ -240,17 +278,24 @@ def polygon_from_cusps(n: int, cusps) -> LabeledPolygon:
 
     The cusps are checked once, before classification (the keys need coprime
     adjacent denominators).  The polygon keeps that pass's labels and partner
-    table and is made without ``__init__``, which would check the cusps again
-    and run the same gluing pass a second time to check the labels.
+    table.
     """
     cusps = tuple(cusps)
-    _check_cusps(cusps)
+    dens = _check_cusps(cusps)
     if n < 2:
         raise ValueError("level must be at least 2")
-    labels, mates = _classify_all(n, cusps)
+    return _polygon(n, cusps, *_classify_all(n, dens))
+
+
+def _polygon(n: int, cusps, labels: list[int], mates: list[int]) -> LabeledPolygon:
+    """The LabeledPolygon of cusps already checked and labelled by the gluing pass.
+
+    It is made without ``__init__``, which would check the cusps again and
+    run the same gluing pass a second time to check the labels.
+    """
     P = object.__new__(LabeledPolygon)
     object.__setattr__(P, "n", n)
-    object.__setattr__(P, "cusps", cusps)
+    object.__setattr__(P, "cusps", tuple(cusps))
     object.__setattr__(P, "labels", tuple(labels))
     object.__setattr__(P, "_mates", tuple(mates))
     return P
@@ -280,18 +325,32 @@ def is_maximal(P: LabeledPolygon) -> bool:
     return FREE not in P.labels
 
 
-def _check_maximal(P: LabeledPolygon) -> LabeledPolygon:
-    """Return P, raising RuntimeError (also under ``python -O``) unless it is
-    maximal with u(n) triangles: the one check of every maximal-polygon builder."""
-    if not is_maximal(P):
-        raise RuntimeError(f"construction left free sides at n={P.n}")
-    if len(P) != group_invariants(P.n).u + 2:
-        raise RuntimeError(f"triangle count is not u(n) at n={P.n}")
-    return P
+def _assemble(n: int, nums: list[int], dens: list[int]) -> tuple[list[int], list[int]]:
+    """Labels and partner table of the boundary nums[i]/dens[i] of a maximal
+    polygon: the one check of every maximal-polygon builder.
+
+    The cusps must run [∞, 0, ..., 1] through Farey pairs (ValueError
+    otherwise); the one gluing pass ``_classify_all`` labels the sides; and
+    RuntimeError is raised, also under ``python -O``, unless no side is left
+    free and there are u(n) triangles.  The builders hand their boundary over
+    as two int lists, so a caller that needs only the denominators, such as
+    ``triples._witness``, reads them checked without making a Frac or a
+    polygon; ``_polygon`` makes the public result.
+    """
+    _check_boundary(nums, dens)
+    labels, mates = _classify_all(n, dens)
+    if FREE in labels:
+        raise RuntimeError(f"construction left free sides at n={n}")
+    if len(dens) != group_invariants(n).u + 2:
+        raise RuntimeError(f"triangle count is not u(n) at n={n}")
+    return labels, mates
 
 
-def _grow(n: int, strategy: str) -> LabeledPolygon:
+def _grow(n: int, strategy: str) -> tuple[list[int], list[int], list[int], list[int]]:
     """Grow the base triangle until no free side remains.
+
+    Returns the boundary as (nums, dens, labels, mates), checked and
+    labelled by ``_assemble``.
 
     Every side is classified the moment it is created: even, odd, glued to a
     coexisting open side (a free side not yet expanded), or left open.
@@ -316,8 +375,8 @@ def _grow(n: int, strategy: str) -> LabeledPolygon:
     pair off; they are exact ints throughout).  ``smallest-mediant`` expands
     the open side with the smallest mediant denominator, rightmost on ties,
     taken from a heap whose entries for sides closed in the meantime are
-    skipped.  The finished cusp list is read off the nodes and labelled by
-    ``polygon_from_cusps``, which re-derives every gluing decided here.
+    skipped.  The finished boundary is read off the nodes and handed to
+    ``_assemble``, whose gluing pass re-derives every gluing decided here.
     """
     key = _key_function(n)
     num, den = [0, 1], [1, 1]  # exact numerator and denominator of each boundary cusp
@@ -374,12 +433,13 @@ def _grow(n: int, strategy: str) -> LabeledPolygon:
             if open_key[i] is not None:  # else closed by a pairing since pushed
                 expand(i)
 
-    cusps = [INF]
+    nums, dens = [1], [0]  # ∞, then the nodes from 0/1 to 1/1
     i = 0
     while i != -1:
-        cusps.append(Frac(num[i], den[i]))
+        nums.append(num[i])
+        dens.append(den[i])
         i = nxt[i]
-    return polygon_from_cusps(n, cusps)
+    return nums, dens, *_assemble(n, nums, dens)
 
 
 GROWTH_STRATEGIES = ("leftmost", "smallest-mediant")
@@ -396,7 +456,8 @@ def grow_maximal(n: int, strategy: str = "leftmost") -> LabeledPolygon:
         raise ValueError("level must be at least 2")
     if strategy not in GROWTH_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; use one of {GROWTH_STRATEGIES}")
-    return _check_maximal(_grow(n, strategy))
+    nums, dens, labels, mates = _grow(n, strategy)
+    return _polygon(n, map(Frac, nums, dens), labels, mates)
 
 
 def _side_transport(P: LabeledPolygon, i: int) -> tuple[int, Mat]:

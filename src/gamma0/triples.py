@@ -11,7 +11,10 @@ pair sum exceeds √n, three sides per triple; those are the triples k(n)
 counts.  Attaching one ideal triangle to the head side of such a triple
 produces two new sides that glue onto its other two members, so the
 optimal and twin builds take their heads straight from the k(n)
-enumeration and classify the finished cusp list once.
+enumeration.  They walk the Farey next-term recurrence on plain ints,
+put the mediants in as they pass, and hand the boundary over as two int
+lists to ``polygon._assemble``, the one check and gluing pass of every
+maximal-polygon builder; Frac cusps are made only for the public polygon.
 
 Every triple satisfies a_i + b_i = b_{i+1} + a_{i+2} and 3A² < 4n for its
 smallest pair sum A.  The level is *cashew* when some triple attains
@@ -31,11 +34,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, fields
+from itertools import compress, islice
 from math import gcd, isqrt
 
-from .farey import Frac, farey_sequence
+from .farey import Frac
 from .invariants import _upper_bound, prime_or_prime_square, twin_factors
-from .polygon import LabeledPolygon, _check_maximal, grow_maximal, polygon_from_cusps
+from .polygon import LabeledPolygon, _assemble, _grow, _polygon
 
 
 class TripleNotApplicable(ValueError):
@@ -372,30 +376,47 @@ def cashew_certificate(n: int) -> CashewCertificate | None:
     return certs[0] if certs else None
 
 
-def _resolved(n: int, splits: dict[Pair, int]) -> LabeledPolygon:
+def _resolved(n: int, splits: dict[Pair, int]) -> tuple[list[int], list[int], list[int], list[int]]:
     """The hull of F*_⌊√n⌋ with mediants put on some of its sides, classified once.
 
     ``splits`` maps a hull side's denominator pair (left, right) to the number
     of mediants it takes, each cut off at the side's left end; the head side
-    of every triple that k(n) counts takes one more.  The result is checked
-    once, also under ``python -O``: RuntimeError is raised unless it is
-    maximal with u(n) triangles (``polygon._check_maximal``) and all its
-    denominators are ≤ the upper bound of ``m_bounds``.
+    of every triple that k(n) counts takes one more.  The hull's cusps come
+    from the Farey next-term recurrence on ints, as in ``farey_sequence``,
+    and the mediants go in as the walk passes their side.  The boundary is
+    returned as (nums, dens, labels, mates), checked once, also under
+    ``python -O``: RuntimeError is raised unless it is maximal with u(n)
+    triangles (``polygon._assemble``) and all its denominators are ≤ the
+    upper bound of ``m_bounds``.
     """
     splits = dict.fromkeys(((t[0], t[1]) for t in _triples(n, _free_head_sums)), 1) | splits
-    seq = farey_sequence(isqrt(n))
-    cusps = seq[:2]
-    for y in seq[2:]:
-        x = cusps[-1]
-        r = splits.get((x.den, y.den))
-        if r:  # (j·x.num + y.num)/(j·x.den + y.den) rises from x towards y as j falls
-            cusps += [Frac(j * x.num + y.num, j * x.den + y.den) for j in range(r, 0, -1)]
-        cusps.append(y)
-    P = _check_maximal(polygon_from_cusps(n, cusps))
+    v = isqrt(n)
+    nums, dens = [1, 0], [0, 1]  # ∞ and 0/1
+    put_num, put_den, split = nums.append, dens.append, splits.get
+    a, b, c, d = 0, 1, 1, v  # consecutive terms a/b < c/d of F_v
+    while True:
+        r = split((b, d))
+        if r:  # (j·a + c)/(j·b + d) rises from a/b towards c/d as j falls
+            for j in range(r, 0, -1):
+                put_num(j * a + c)
+                put_den(j * b + d)
+        put_num(c)
+        put_den(d)
+        if d == 1:  # c/d is 1/1
+            break
+        step = (v + b) // d
+        a, b, c, d = c, d, step * c - a, step * d - b
+    labels, mates = _assemble(n, nums, dens)
     bound = _upper_bound(n)
-    if P.max_denominator() > bound:
+    if max(dens) > bound:
         raise RuntimeError(f"denominator bound {bound} broken at n={n}")
-    return P
+    return nums, dens, labels, mates
+
+
+def _built(n: int, splits: dict[Pair, int]) -> LabeledPolygon:
+    """The polygon of ``_resolved``, with its Frac cusps."""
+    nums, dens, labels, mates = _resolved(n, splits)
+    return _polygon(n, map(Frac, nums, dens), labels, mates)
 
 
 def build_optimal_polygon(n: int) -> LabeledPolygon:
@@ -409,7 +430,7 @@ def build_optimal_polygon(n: int) -> LabeledPolygon:
     """
     if not prime_or_prime_square(n):
         raise ValueError(f"{n} is not a prime or the square of a prime")
-    return _resolved(n, {})
+    return _built(n, {})
 
 
 def twin_eligible(p: int, q: int) -> bool:
@@ -431,9 +452,14 @@ def build_twin_polygon(p: int, q: int) -> LabeledPolygon:
     """
     if not twin_eligible(p, q):
         raise ValueError(f"({p}, {q}) is not an eligible odd prime pair")
+    return _built(p * q, _twin_splits(p, q))
+
+
+def _twin_splits(p: int, q: int) -> dict[Pair, int]:
+    """The mediants the twin polygon of pq puts on the hull sides that no
+    k(pq) triple resolves (see ``build_twin_polygon``)."""
     k = (q - p) // 2
-    splits = {(k, p): 2} | {(i, q - i): 1 for i in range(k + 1, p + k)}
-    return _resolved(p * q, splits)
+    return {(k, p): 2} | {(i, q - i): 1 for i in range(k + 1, p + k)}
 
 
 def _witness(n: int) -> tuple[int, list[Pair]]:
@@ -441,15 +467,17 @@ def _witness(n: int) -> tuple[int, list[Pair]]:
 
     The optimal polygon serves primes and prime squares, the twin polygon
     eligible pq, and smallest-mediant growth every other level; each builder
-    checks its own result.  ``peaks`` lists the sides (a, b) under the cusps
-    of denominator w = a + b, in the polygon's order.
+    checks its own boundary (``polygon._assemble``), and w and the peaks are
+    read off its checked denominators, with no Frac or polygon made.
+    ``peaks`` lists the sides (a, b) under the cusps of denominator
+    w = a + b, in the polygon's order.
     """
     if prime_or_prime_square(n):
-        P = build_optimal_polygon(n)
+        dens = _resolved(n, {})[1]
     elif (tw := twin_factors(n)) is not None:
-        P = build_twin_polygon(*tw)
+        dens = _resolved(n, _twin_splits(*tw))[1]
     else:
-        P = grow_maximal(n, "smallest-mediant")
-    dens = [c.den for c in P.cusps]
+        dens = _grow(n, "smallest-mediant")[1]
     w = max(dens)
-    return w, [(dens[i - 1], dens[i + 1]) for i in range(1, len(dens) - 1) if dens[i] == w]
+    tops = compress(range(1, len(dens) - 1), map(w.__eq__, islice(dens, 1, None)))
+    return w, [(dens[i - 1], dens[i + 1]) for i in tops]

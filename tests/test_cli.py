@@ -18,7 +18,7 @@ import gamma0.invariants
 import gamma0.triples
 from gamma0.cli import main
 from gamma0.generators import independent_system
-from gamma0.invariants import prime_or_prime_square
+from gamma0.invariants import prime_or_prime_square, twin_factors
 from gamma0.polygon import grow_maximal, polygon_from_json
 from gamma0.triples import build_optimal_polygon, build_twin_polygon
 from triples_reference import scan_certificates, scan_triple_count
@@ -253,6 +253,25 @@ def test_composite_level_output_is_byte_identical(capsys):
     for argv in GROWTH_REQUESTS:
         digest.update(repr(run_cli(capsys, *argv)).encode())
     assert digest.hexdigest() == GROWTH_DIGEST
+
+
+# the same over `polygon N --strategy optimal --json` at every prime and
+# prime square n ≤ 5000, and `polygon N --strategy twin --json` at every
+# eligible twin product n ≤ 5000, in ascending n (751 requests); recorded
+# before the builders handed their boundary over as int lists
+BUILT_POLYGON_DIGEST = "a9846fd6c21b3470e0b0af512dd21e44b58791b2c08514bf6d960a12edfc03a4"
+
+
+def test_built_polygon_output_is_byte_identical(capsys):
+    digest = hashlib.sha256()
+    requests = 0
+    for n in range(2, 5001):
+        strategy = "optimal" if prime_or_prime_square(n) else "twin" if twin_factors(n) else None
+        if strategy is not None:
+            digest.update(repr(run_cli(capsys, "polygon", str(n), "--strategy", strategy, "--json")).encode())
+            requests += 1
+    assert requests == 751
+    assert digest.hexdigest() == BUILT_POLYGON_DIGEST
 
 
 def test_bounds_max_bound_needs_exact(capsys):

@@ -19,6 +19,7 @@ import pytest
 
 import gamma0
 import gamma0.polygon
+import gamma0.triples
 
 from gamma0 import invariants
 from gamma0.invariants import (
@@ -41,7 +42,7 @@ from gamma0.invariants import (
     totient_summatory,
     twin_factors,
 )
-from gamma0.polygon import grow_maximal, is_maximal
+from gamma0.polygon import grow_maximal
 from gamma0.triples import _witness, build_optimal_polygon, build_twin_polygon, cashew_certificate
 
 from exact_reference import (
@@ -232,11 +233,15 @@ def test_invariants_factorise_the_level_once(monkeypatch, n):
     assert calls == [n]
 
 
-@pytest.mark.parametrize("n,most", [(10007, 2), (10**9 + 7, 2), (720720, 3)])
-def test_m_bounds_factorises_the_level_at_most_three_times(monkeypatch, n, most):
+@pytest.mark.parametrize("n", [10007, 10**9 + 7, 720720, 10**13 + 37])
+def test_m_bounds_factorises_the_level_once(monkeypatch, n):
+    # both bounds read one factorisation; Φ(⌊√n⌋) is stubbed, since its
+    # sieve would take seconds and hundreds of MB at 10¹³ + 37, and it
+    # factorises nothing
+    monkeypatch.setattr(invariants, "totient_summatory", lambda k: 0)
     calls = counting_factorize(monkeypatch)
     m_bounds(n)
-    assert len(calls) <= most, calls
+    assert calls == [n]
 
 
 # --- totient summatory and the equality list ---
@@ -440,16 +445,25 @@ def _peaks_of(P):
     return [(c[i - 1].den, c[i + 1].den) for i in range(1, len(c) - 1) if c[i].den == w]
 
 
-def test_optimal_and_twin_witnesses_are_checked_once(monkeypatch):
-    # the construction checks its polygon; the exact search does not check
-    # the same polygon again
+def counting_assembly(monkeypatch):
+    """Count the calls to ``polygon._assemble``, the one check of every
+    maximal-polygon builder, wherever it is bound."""
     calls = []
+    assemble = gamma0.polygon._assemble
 
-    def counted(P):
-        calls.append(P.n)
-        return is_maximal(P)
+    def counted(n, nums, dens):
+        calls.append(n)
+        return assemble(n, nums, dens)
 
-    monkeypatch.setattr(gamma0.polygon, "is_maximal", counted)
+    monkeypatch.setattr(gamma0.polygon, "_assemble", counted)
+    monkeypatch.setattr(gamma0.triples, "_assemble", counted)
+    return calls
+
+
+def test_optimal_and_twin_witnesses_are_checked_once(monkeypatch):
+    # the construction checks its boundary; the exact search does not check
+    # the same polygon again
+    calls = counting_assembly(monkeypatch)
     for n, build, args in ((797, build_optimal_polygon, (797,)), (1147, build_twin_polygon, (31, 37))):
         calls.clear()
         w, peaks = _witness(n)
@@ -461,15 +475,9 @@ def test_optimal_and_twin_witnesses_are_checked_once(monkeypatch):
 
 
 def test_grown_witness_is_checked_once(monkeypatch):
-    # growth checks its own polygon, and the exact search takes the grown
+    # growth checks its own boundary, and the exact search takes the grown
     # witness as it is
-    calls = []
-
-    def counted(P):
-        calls.append(P.n)
-        return is_maximal(P)
-
-    monkeypatch.setattr(gamma0.polygon, "is_maximal", counted)
+    calls = counting_assembly(monkeypatch)
     w, peaks = _witness(30)
     assert calls == [30]
     calls.clear()

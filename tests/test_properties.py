@@ -1,5 +1,6 @@
 """Property-based checks over randomized levels, pairs, and polygons."""
 
+import random
 import re
 from math import gcd, isqrt
 
@@ -12,6 +13,7 @@ from gamma0.farey import (
     ZERO,
     Frac,
     denominators,
+    farey_sequence,
     is_farey_pair,
     lift_denominator_sequence,
     mediant,
@@ -22,8 +24,10 @@ from gamma0.invariants import (
     _key_function,
     equality_list,
     group_invariants,
+    is_prime,
     m_bounds,
     totient_summatory,
+    twin_factors,
 )
 from gamma0.polygon import (
     EVEN,
@@ -69,6 +73,24 @@ def composite_levels(draw):
     n = draw(st.integers(min_value=4, max_value=5000))
     is_composite = any(n % d == 0 for d in range(2, isqrt(n) + 1))
     return n if is_composite else n * draw(small_primes)
+
+
+PRIMES = [p for p in range(2, 1000) if is_prime(p)]
+TWIN_LEVELS = [n for n in range(15, 2000) if twin_factors(n)]
+
+
+@st.composite
+def gluing_levels(draw):
+    """Composite levels half the time; otherwise a prime, a prime square or a
+    twin product, where the gluing pass keys most sides by their slope."""
+    shape = draw(st.sampled_from(["composite", "composite", "composite", "prime", "p2", "twin"]))
+    if shape == "composite":
+        return draw(composite_levels())
+    if shape == "prime":
+        return draw(st.sampled_from(PRIMES))
+    if shape == "p2":
+        return draw(small_primes) ** 2
+    return draw(st.sampled_from(TWIN_LEVELS))
 
 
 def coprime_part(x, y):
@@ -248,10 +270,54 @@ def greedy_labels(n, cusps):
     return [VERTICAL, *labels, VERTICAL]
 
 
-@settings(max_examples=300, deadline=None)
-@given(composite_levels(), random_farey_polygons())
+@settings(max_examples=600, deadline=None)
+@given(gluing_levels(), random_farey_polygons())
 def test_classify_all_matches_greedy_reference(n, cusps):
-    assert _classify_all(n, cusps)[0] == greedy_labels(n, cusps)
+    assert _classify_all(n, denominators(cusps))[0] == greedy_labels(n, cusps)
+
+
+def _random_cusps(rng):
+    """As ``random_farey_polygons``, from a seeded generator."""
+    cusps = [INF, ZERO, ONE]
+    for _ in range(rng.randint(0, 40)):
+        i = rng.randint(1, len(cusps) - 2)
+        cusps.insert(i + 1, mediant(cusps[i], cusps[i + 1]))
+    return cusps
+
+
+@pytest.mark.parametrize("n", [13, 49, 143, 60])
+def test_sides_sharing_a_key_glue_in_fifo_order(n):
+    # sides i < j of a cusp list from outside share a pairing key while i
+    # still waits, so j queues under it in ``queued``; the first later
+    # partner takes i and the next one j, which moved up into ``waiting``.
+    # 13, 49 and 143 = 11·13 are levels where most sides are slope-keyed
+    rng = random.Random(n)
+    key = _key_function(n)
+    for _ in range(5000):
+        cusps = _random_cusps(rng)
+        dens = denominators(cusps)
+        labels, mates = _classify_all(n, dens)
+        first: dict[int, int] = {}
+        queued = []
+        for i in range(1, len(dens) - 1):
+            j = first.setdefault(key(dens[i], dens[i + 1]), i)
+            if j < i < mates[j] < mates[i]:
+                queued.append(i)
+        if queued:
+            break
+    assert queued, n
+    assert labels == greedy_labels(n, cusps)
+
+
+@pytest.mark.parametrize("n,p", [(49, 7), (143, 11)])
+def test_non_unit_sides_never_share_a_key_with_slope_keyed_sides(n, p):
+    # the hulls of F*_k, k ≥ p, have sides with the non-unit denominator p
+    # next to unit sides; at 143 = 11·13 the key of such a side, without
+    # its offset past n, equals a slope key from k = 17 on, and would glue
+    # sides that the congruence does not
+    for k in range(p, p + 8):
+        cusps = farey_sequence(k)
+        assert _classify_all(n, denominators(cusps))[0] == greedy_labels(n, cusps), k
 
 
 @settings(max_examples=300, deadline=None)

@@ -16,7 +16,7 @@ from gamma0.invariants import (
     totient_summatory,
     twin_factors,
 )
-from gamma0.polygon import is_maximal, polygon_from_cusps
+from gamma0.polygon import grow_maximal, is_maximal, polygon_from_cusps
 from gamma0.triples import (
     CashewCertificate,
     FareyTriple,
@@ -437,6 +437,24 @@ def test_witness_peaks_are_the_heads_of_the_largest_head_sum():
         if top > floor:
             heads = [t.pairs[0] for t in triples if t.min_sum() == top]
             assert sorted(peaks) == sorted(heads), n
+
+
+def _top_and_peaks(P):
+    """(largest denominator, the sides under its cusps) of a built polygon."""
+    c, w = P.cusps, P.max_denominator()
+    return w, [(c[i - 1].den, c[i + 1].den) for i in range(1, len(c) - 1) if c[i].den == w]
+
+
+def test_witness_reads_the_public_builders_polygon():
+    # _witness reads the checked boundary the builders hand over, without a
+    # polygon: it must give what the public builder's polygon shows
+    for n in range(2, 3001):
+        if prime_or_prime_square(n):
+            assert _witness(n) == _top_and_peaks(build_optimal_polygon(n)), n
+        elif (tw := twin_factors(n)) is not None:
+            assert _witness(n) == _top_and_peaks(build_twin_polygon(*tw)), n
+        elif n <= 300:
+            assert _witness(n) == _top_and_peaks(grow_maximal(n, "smallest-mediant")), n
 
 
 @pytest.mark.parametrize(
