@@ -75,8 +75,11 @@ def _check_boundary(nums: list[int], dens: list[int]) -> None:
 
 def _check_cusps(c: tuple[Frac, ...]) -> list[int]:
     """Check the Frac cusps c as ``_check_boundary`` does; return their denominators."""
-    dens = [x.den for x in c]
-    _check_boundary([x.num for x in c], dens)
+    try:
+        nums, dens = [x.num for x in c], [x.den for x in c]
+    except AttributeError:
+        raise ValueError("cusps must be Frac values") from None
+    _check_boundary(nums, dens)
     return dens
 
 

@@ -156,6 +156,16 @@ def test_polygon_from_cusps_rejects_non_farey_cusps(n):
         polygon_from_cusps(n, (INF, ZERO, Frac(1, 2), Frac(3, 4), ONE))
 
 
+@pytest.mark.parametrize(
+    "cusps", [("1/0", "0/1", "1/1"), (INF, ZERO, "1/2", ONE), (INF, ZERO, ONE, 5)], ids=["text", "middle", "end"]
+)
+def test_polygon_from_cusps_rejects_cusps_that_are_not_fractions(cusps):
+    with pytest.raises(ValueError, match="cusps must"):
+        polygon_from_cusps(5, cusps)
+    with pytest.raises(ValueError, match="cusps must"):
+        LabeledPolygon(5, cusps, (1,) * len(cusps))
+
+
 def test_polygon_from_cusps_checks_the_cusps_once(monkeypatch):
     calls = []
     check = polygon_module._check_cusps
